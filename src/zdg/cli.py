@@ -14,23 +14,27 @@ from .graphs import build_explicit, export_dot
 from .harness import analyze, audit, csv_row, render, sweep
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv",
+_OPTIONS = {
+    "format": dict(
+        choices=("csv", "json"), default="csv",
         help="output format (default csv)",
-    )
-    sub.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write to PATH instead of stdout",
-    )
-    sub.add_argument(
-        "--jobs", type=int, default=1, metavar="K",
-        help="worker processes for range commands (default 1)",
-    )
-    sub.add_argument(
-        "--oracle", choices=("flow", "exhaustive"), default="flow",
+    ),
+    "output": dict(
+        default=None, metavar="PATH", help="write to PATH instead of stdout",
+    ),
+    "jobs": dict(
+        type=int, default=1, metavar="K", help="worker processes (default 1)",
+    ),
+    "oracle": dict(
+        choices=("flow", "exhaustive"), default="flow",
         help="connectivity engine (default flow)",
-    )
+    ),
+}
+
+
+def _add_options(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,19 +46,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = commands.add_parser("analyze", help="audit a single n")
     p_analyze.add_argument("--n", type=int, required=True)
-    _add_common(p_analyze)
+    _add_options(p_analyze, "format", "output", "oracle")
 
     p_sweep = commands.add_parser("sweep", help="audit a whole range")
     p_sweep.add_argument("--from", dest="start", type=int, required=True)
     p_sweep.add_argument("--to", dest="stop", type=int, required=True)
-    _add_common(p_sweep)
+    _add_options(p_sweep, "format", "output", "jobs", "oracle")
 
     p_audit = commands.add_parser(
         "audit", help="sweep a range, print offenders and a verdict"
     )
     p_audit.add_argument("--from", dest="start", type=int, required=True)
     p_audit.add_argument("--to", dest="stop", type=int, required=True)
-    _add_common(p_audit)
+    _add_options(p_audit, "output", "jobs", "oracle")
 
     p_dot = commands.add_parser("export-dot", help="emit Graphviz DOT text")
     p_dot.add_argument("--n", type=int, required=True)
@@ -62,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--color-classes", action="store_true",
         help="fill vertices by divisor class",
     )
-    _add_common(p_dot)
+    _add_options(p_dot, "output")
 
     return parser
 

@@ -248,20 +248,31 @@ def _dominating_set(view: _View, root: int) -> list[int]:
     return chosen
 
 
+def _splittable(view: _View) -> bool:
+    """Connected with two or more vertices; any other graph has 0 for both."""
+    return len(view.verts) > 1 and _view_connected(view)
+
+
 def edge_connectivity(g) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact edge connectivity with a witness edge cut.
 
     Returns 0 with an empty witness for disconnected or single-vertex
-    graphs.  Flow targets range over a dominating set of the source, which
-    is sufficient: were some cut smaller than every computed flow and the
+    graphs.
+    """
+    view = _View(g)
+    return _edge_cut(view) if _splittable(view) else (0, ())
+
+
+def _edge_cut(view: _View) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Edge connectivity of a connected view with two or more vertices.
+
+    Flow targets range over a dominating set of the source, which is
+    sufficient: were some cut smaller than every computed flow and the
     minimum degree, each of its sides would contain a vertex whose whole
     closed neighborhood sits inside that side, and the dominating set
     would have to meet both sides.
     """
-    view = _View(g)
     nv = len(view.verts)
-    if nv == 1 or not _view_connected(view):
-        return 0, ()
     si = _min_degree_root(view)
     best = view.degs[si]
     s_res = view.verts[si]
@@ -303,11 +314,12 @@ def vertex_connectivity(g) -> tuple[int, tuple[int, ...]]:
     graph on m vertices yields m - 1 (deleting the witness leaves K_1).
     """
     view = _View(g)
+    return _vertex_cut(view) if _splittable(view) else (0, ())
+
+
+def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
+    """Vertex connectivity of a connected view with two or more vertices."""
     nv = len(view.verts)
-    if nv == 1:
-        return 0, ()
-    if not _view_connected(view):
-        return 0, ()
     num_edges = sum(view.degs) // 2
     if 2 * num_edges == nv * (nv - 1):
         return nv - 1, tuple(view.verts[: nv - 1])
@@ -469,17 +481,28 @@ class ConnectivityReport:
 
 
 def connectivity_report(g) -> ConnectivityReport:
-    """Compute min degree, edge and vertex connectivity in one pass."""
-    delta = min_degree(g)
-    kappa_e, edge_cut = edge_connectivity(g)
-    kappa, vertex_cut = vertex_connectivity(g)
-    nv = len(g.vertices)
-    if nv >= 2:
-        assert 0 <= kappa <= kappa_e <= delta, (g.n, kappa, kappa_e, delta)
+    """Compute min degree, edge and vertex connectivity in one pass.
+
+    Both engines share one adjacency snapshot and one connectivity check.
+    Raises RuntimeError if the results break Whitney's chain
+    kappa <= kappa_e <= delta.
+    """
+    view = _View(g)
+    delta = min(view.degs)
+    if _splittable(view):
+        kappa_e, edge_cut = _edge_cut(view)
+        kappa, vertex_cut = _vertex_cut(view)
+        if not 0 <= kappa <= kappa_e <= delta:
+            raise RuntimeError(
+                f"n={g.n}: kappa={kappa}, kappa_e={kappa_e}, delta={delta} "
+                "break kappa <= kappa_e <= delta"
+            )
+    else:
+        kappa_e, edge_cut, kappa, vertex_cut = 0, (), 0, ()
     return ConnectivityReport(
         n=g.n,
-        num_vertices=nv,
-        num_edges=sum(len(g.adjacency[v]) for v in g.vertices) // 2,
+        num_vertices=len(view.verts),
+        num_edges=sum(view.degs) // 2,
         delta=delta,
         kappa_e=kappa_e,
         kappa=kappa,

@@ -2,17 +2,20 @@
 
 The explicit graph puts a vertex on every nonzero zero divisor of Z_n
 (residues v with gcd(v, n) > 1) and an edge between u != w whenever
-u*w = 0 (mod n).  The compressed form groups vertices by their divisor
-class d = gcd(v, n): adjacency between classes decides adjacency between
-all their members, so degree and size analyses run on the divisor lattice
-and scale to n around 10^12 without touching individual residues.
+u*w = 0 (mod n).  Vertices group into divisor classes d = gcd(v, n), and
+each class has a closed form (Anderson & Livingston, J. Algebra 217,
+1999): a vertex x in class d is adjacent to exactly the nonzero multiples
+of n/d other than x itself.  So every class-d vertex has degree
+d - 1 - [n | d^2], and its neighbors are range(n/d, n, n/d) without x.
+Sizes and degrees therefore come from the factorization of n alone and
+scale to n around 10^12 without touching individual residues.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import Factorization, divisors, factorize, totient
+from .arith import factorize
 from .errors import NoZeroDivisorsError, ResourceLimitError
 
 # Guards for materializing the explicit graph.
@@ -39,35 +42,32 @@ class ZeroDivisorGraph:
         ]
 
 
+def _class_degree(n: int, d: int) -> int:
+    """Degree of a class-d vertex: the d - 1 nonzero multiples of n/d, less
+    the vertex itself when it is one of them (exactly when n | d^2)."""
+    return d - 1 - (d * d % n == 0)
+
+
 @dataclass(frozen=True)
 class CompressedZdg:
-    """Divisor-class quotient of the zero-divisor graph.
+    """Divisor classes of the zero-divisor graph.
 
     classes holds (d, size) with size = totient(n/d) for every proper
-    divisor 1 < d < n; class_adjacency holds unordered pairs (d, e), d < e,
-    with d*e = 0 (mod n).  A class whose members are adjacent to each other
-    (d*d = 0 mod n) is flagged in self_saturated.
+    divisor 1 < d < n, ascending in d.  Adjacency needs no storage: a
+    class-d vertex x is adjacent to the nonzero multiples of n/d other
+    than x (Anderson & Livingston, J. Algebra 217, 1999).
     """
 
     n: int
     classes: tuple[tuple[int, int], ...]
-    class_adjacency: tuple[tuple[int, int], ...]
-    self_saturated: dict[int, bool]
-
-    def sizes(self) -> dict[int, int]:
-        return dict(self.classes)
 
     def num_vertices(self) -> int:
         return sum(size for _, size in self.classes)
 
     def num_edges(self) -> int:
         """Edge count of the explicit graph this compression describes."""
-        size = self.sizes()
-        total = sum(size[d] * size[e] for d, e in self.class_adjacency)
-        for d, sat in self.self_saturated.items():
-            if sat:
-                total += size[d] * (size[d] - 1) // 2
-        return total
+        n = self.n
+        return sum(size * _class_degree(n, d) for d, size in self.classes) // 2
 
 
 @dataclass(frozen=True)
@@ -91,53 +91,31 @@ class DegreeProfile:
         return sum(d * c for d, c in self.degree_counts.items()) // 2
 
 
-def _composite_factorization(n: int) -> Factorization:
+def build_compressed(n: int) -> CompressedZdg:
+    """Compress Z_n's zero-divisor graph onto its divisor classes.
+
+    Requires composite n >= 4.  Factors n once; the rest is linear in the
+    divisor count, independent of n itself.
+    """
     f = factorize(n)
     if not f.is_composite():
         raise NoZeroDivisorsError(
             f"Z_{n} has no nonzero zero divisors; need composite n >= 4"
         )
-    return f
-
-
-def build_compressed(n: int) -> CompressedZdg:
-    """Compress Z_n's zero-divisor graph onto its divisor classes.
-
-    Requires composite n >= 4.  Cost is polynomial in the divisor count,
-    independent of n itself.
-    """
-    f = _composite_factorization(n)
-    divs = divisors(f)
-    proper = divs[1:-1]  # 1 < d < n
-    sizes = {d: totient(factorize(n // d)) for d in proper}
-    classes = tuple((d, sizes[d]) for d in proper)
-    adjacency = tuple(
-        (d, e)
-        for i, d in enumerate(proper)
-        for e in proper[i + 1 :]
-        if (d * e) % n == 0
-    )
-    saturated = {d: (d * d) % n == 0 for d in proper}
-    return CompressedZdg(n, classes, adjacency, saturated)
+    # (d, totient(n/d)) over all divisors d, one prime p^a at a time: p^b in
+    # d leaves p^(a-b) in n/d, whose totient is (p-1)*p^(a-b-1), or 1 if b = a
+    pairs = [(1, 1)]
+    for p, a in f.factors:
+        powers = [(p**b, (p - 1) * p ** (a - b - 1)) for b in range(a)]
+        powers.append((p**a, 1))
+        pairs = [(d * q, t * s) for d, t in pairs for q, s in powers]
+    pairs.sort()
+    return CompressedZdg(n, tuple(pairs[1:-1]))  # drop d = 1 and d = n
 
 
 def degree_profile(c: CompressedZdg) -> DegreeProfile:
-    """Per-class degrees and the whole-graph degree multiset.
-
-    A vertex in class d is adjacent to every member of every partner class
-    e with d*e = 0 (mod n), minus itself when its own class is a partner.
-    """
-    sizes = c.sizes()
-    partners: dict[int, list[int]] = {d: [] for d in sizes}
-    for d, e in c.class_adjacency:
-        partners[d].append(e)
-        partners[e].append(d)
-    class_degrees = {}
-    for d in sizes:
-        deg = sum(sizes[e] for e in partners[d])
-        if c.self_saturated[d]:
-            deg += sizes[d] - 1
-        class_degrees[d] = deg
+    """Per-class degrees and the whole-graph degree multiset."""
+    class_degrees = {d: _class_degree(c.n, d) for d, _ in c.classes}
     degree_counts: dict[int, int] = {}
     for d, size in c.classes:
         deg = class_degrees[d]
@@ -155,7 +133,9 @@ def build_explicit(n: int) -> ZeroDivisorGraph:
 
     Refuses (ResourceLimitError) when the graph would exceed
     MAX_EXPLICIT_VERTICES vertices or MAX_EXPLICIT_EDGES edges; the limits
-    are computed from the compressed form before any allocation.
+    are computed from the compressed form before any allocation.  Members
+    of a class share one neighbor tuple, except those that are multiples
+    of n/d, which get it with themselves removed.
     """
     c = build_compressed(n)
     num_vertices = c.num_vertices()
@@ -171,39 +151,23 @@ def build_explicit(n: int) -> ZeroDivisorGraph:
             f"of {MAX_EXPLICIT_EDGES}"
         )
 
-    # one pass over residues buckets every vertex into its class, ascending
-    members: dict[int, list[int]] = {d: [] for d, _ in c.classes}
-    for v in range(2, n):
-        g = gcd(v, n)
-        if g > 1:
-            members[g].append(v)
-
-    adj: dict[int, list[int]] = {}
+    adjacency: dict[int, tuple[int, ...]] = {}
     for d, _ in c.classes:
-        for v in members[d]:
-            adj[v] = []
-    for d, e in c.class_adjacency:
-        md, me = members[d], members[e]
-        for u in md:
-            adj[u].extend(me)
-        for w in me:
-            adj[w].extend(md)
-    for d, sat in c.self_saturated.items():
-        if sat:
-            ms = members[d]
-            for i, u in enumerate(ms):
-                adj[u].extend(ms[:i])
-                adj[u].extend(ms[i + 1 :])
-
-    vertices = tuple(sorted(adj))
-    adjacency = {}
-    for v in vertices:
-        nbrs = adj[v]
-        nbrs.sort()
-        adjacency[v] = tuple(nbrs)
-    graph = ZeroDivisorGraph(n, vertices, adjacency, num_edges)
-    assert sum(len(a) for a in adjacency.values()) == 2 * num_edges
-    return graph
+        step = n // d
+        shared = tuple(range(step, n, step))
+        for v in class_members(n, d):
+            if v % step:
+                adjacency[v] = shared
+            else:
+                i = v // step - 1
+                adjacency[v] = shared[:i] + shared[i + 1 :]
+    ends = sum(len(a) for a in adjacency.values())
+    if ends != 2 * num_edges:
+        raise RuntimeError(
+            f"n={n}: adjacency lists hold {ends} edge ends, "
+            f"expected {2 * num_edges}"
+        )
+    return ZeroDivisorGraph(n, tuple(sorted(adjacency)), adjacency, num_edges)
 
 
 def export_dot(g: ZeroDivisorGraph, color_by_class: bool = False) -> str:

@@ -7,17 +7,17 @@ values.  Rendering is deterministic so sweeps can be diffed byte-for-byte.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .arith import factorize, format_factorization
 from .connectivity import (
     DEFAULT_SUBSET_BUDGET,
-    edge_connectivity,
+    connectivity_report,
     exhaustive_edge_connectivity,
     exhaustive_vertex_connectivity,
     min_degree,
-    vertex_connectivity,
 )
 from .errors import ResourceLimitError
 from .formulas import (
@@ -87,16 +87,16 @@ def analyze(
         g = build_explicit(n)
     except ResourceLimitError:
         return _skip(n, ftext, "ResourceLimit")
-    delta = min_degree(g)
     if oracle == "exhaustive":
+        delta = min_degree(g)
         try:
             kappa_e = exhaustive_edge_connectivity(g, budget)
             kappa = exhaustive_vertex_connectivity(g, budget)
         except ResourceLimitError:
             return _skip(n, ftext, "ResourceLimit")
     else:
-        kappa_e, _ = edge_connectivity(g)
-        kappa, _ = vertex_connectivity(g)
+        rep = connectivity_report(g)
+        delta, kappa_e, kappa = rep.delta, rep.kappa_e, rep.kappa
     pred_d = predict_min_degree(f)
     pred_e = predict_edge_connectivity(f)
     pred_v = predict_vertex_connectivity(f)
@@ -140,19 +140,21 @@ def sweep(
 ) -> list[AuditFinding]:
     """Audit every n in [start, stop], in ascending order.
 
-    With jobs > 1 the work is spread over a process pool; results are
-    emitted in input order, so output is identical for any jobs value.
+    With jobs > 1 the work is spread over a process pool of at most
+    min(jobs, cpu count, range length) workers; results are emitted in
+    input order, so output is identical for any jobs value.
     """
     if start < 1 or stop < start:
         raise ValueError(f"need 1 <= start <= stop, got [{start}, {stop}]")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     values = range(start, stop + 1)
-    if jobs == 1:
+    workers = min(jobs, os.cpu_count() or 1, len(values))
+    if workers == 1:
         return [analyze(n, oracle=oracle, budget=budget) for n in values]
     tasks = [(n, oracle, budget) for n in values]
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_analyze_task, tasks, chunksize=chunk))
 
 

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,3 +22,23 @@ def child_env() -> dict[str, str]:
     src = str(Path(zdg.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+@pytest.fixture
+def run_optimized(child_env):
+    """Run a Python script in a child interpreter started with -O.
+
+    Returns the CompletedProcess with text stdout and stderr.  Checks that
+    must survive -O are exercised this way, since pytest itself runs
+    without it.
+    """
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env,
+        )
+
+    return run

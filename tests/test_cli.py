@@ -114,6 +114,16 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_unread_flags_are_usage_errors(capsys):
+    # each subcommand takes only the flags it reads
+    assert main(["export-dot", "--n", "8", "--jobs", "2"]) == 1
+    assert main(["export-dot", "--n", "8", "--format", "json"]) == 1
+    assert main(["export-dot", "--n", "8", "--oracle", "flow"]) == 1
+    assert main(["analyze", "--n", "25", "--jobs", "2"]) == 1
+    assert main(["audit", "--from", "4", "--to", "9", "--format", "csv"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out

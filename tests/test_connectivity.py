@@ -170,6 +170,24 @@ def test_connectivity_report_z25():
     assert rep.num_edges == 6
 
 
+def test_whitney_check_survives_optimize(run_optimized):
+    # an engine breaking kappa <= kappa_e <= delta must be caught under -O
+    proc = run_optimized(
+        "import sys\n"
+        "from zdg import connectivity\n"
+        "from zdg.graphs import build_explicit\n"
+        "connectivity._vertex_cut = lambda view: (4, ())\n"
+        "try:\n"
+        "    connectivity.connectivity_report(build_explicit(25))\n"
+        "except RuntimeError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "1 n=25: kappa=4, kappa_e=3, delta=3 break kappa <= kappa_e <= delta\n"
+    )
+
+
 def test_deterministic_output():
     g = build_explicit(105)
     assert vertex_connectivity(g) == vertex_connectivity(g)

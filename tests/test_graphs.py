@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from zdg.arith import factorize, totient
+from zdg.arith import divisors, factorize, totient
 from zdg.errors import NoZeroDivisorsError, ResourceLimitError
 from zdg.graphs import (
     build_compressed,
@@ -80,11 +80,24 @@ def test_edge_guard():
         build_explicit(10007**2)
 
 
+def test_edge_sum_check_survives_optimize(run_optimized):
+    # a wrong edge count must be caught even where asserts are stripped
+    proc = run_optimized(
+        "import sys\n"
+        "from zdg import graphs\n"
+        "graphs.CompressedZdg.num_edges = lambda self: 5\n"
+        "try:\n"
+        "    graphs.build_explicit(8)\n"
+        "except RuntimeError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 n=8: adjacency lists hold 4 edge ends, expected 10\n"
+
+
 def test_compressed_z27():
     c = build_compressed(27)
     assert c.classes == ((3, 6), (9, 2))
-    assert c.class_adjacency == ((3, 9),)
-    assert c.self_saturated == {3: False, 9: True}
     assert c.num_vertices() == 8
     assert c.num_edges() == 13
 
@@ -92,9 +105,17 @@ def test_compressed_z27():
 def test_compressed_z12():
     c = build_compressed(12)
     assert c.classes == ((2, 2), (3, 2), (4, 2), (6, 1))
-    assert c.class_adjacency == ((2, 6), (3, 4), (4, 6))
-    assert c.self_saturated == {2: False, 3: False, 4: False, 6: True}
+    assert c.num_vertices() == 7
     assert c.num_edges() == 8
+
+
+def test_compressed_class_sizes_are_totients():
+    # class d holds totient(n/d) residues; sizes come from n's exponents
+    for n in (12, 27, 360, 1001, 2**10, 963761198400):
+        c = build_compressed(n)
+        assert [d for d, _ in c.classes] == divisors(factorize(n))[1:-1]
+        for d, size in c.classes:
+            assert size == totient(factorize(n // d))
 
 
 def test_degree_profile_z27():

@@ -1,6 +1,7 @@
 """Audit harness: findings, sweeps, rendering, mismatch detection."""
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, replace
 
@@ -109,6 +110,36 @@ def test_sweep_jobs_deterministic():
     assert serial == parallel
 
 
+def test_sweep_clamps_workers(monkeypatch):
+    made = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process; starts no worker."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    serial = sweep(4, 20)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert sweep(4, 20, jobs=100_000) == serial  # clamped to the cpu count
+    assert sweep(4, 6, jobs=100_000) == serial[:3]  # clamped to the range
+    assert sweep(4, 20, jobs=2) == serial
+    assert sweep(4, 4, jobs=8) == serial[:1]  # one value: serial path
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert sweep(4, 20, jobs=8) == serial  # unknown cpu count: serial path
+    assert made == [4, 3, 2]
+
+
 def test_audit_counts():
     result = audit(4, 9)
     assert result.checked == 4
@@ -185,3 +216,15 @@ def test_finding_replace_keeps_schema():
     # the CSV column order is the dataclass field order
     row = replace(analyze(25), n=26)
     assert list(asdict(row)) == CSV_HEADER.split(",")
+
+
+def test_output_bytes_pinned():
+    # sha256 of the CSV and JSON for 4..400 as produced before the graph
+    # layer moved to the closed form; a refactor must keep these bytes
+    rows = sweep(4, 400)
+    assert hashlib.sha256(render_csv(rows).encode()).hexdigest() == (
+        "a09c93f7d8a9f6aa6b0fe549fa3bfea004df7cc1d3c877f0c23facc0f8a496d2"
+    )
+    assert hashlib.sha256(render_json(rows).encode()).hexdigest() == (
+        "4f9bc006ebd77d894d4eae28b090fff820231abd728bb52f95f7a55efc04f55e"
+    )
