@@ -9,6 +9,7 @@ from .connectivity import (
     exhaustive_vertex_connectivity,
     is_connected,
     min_degree,
+    quotient_report,
     vertex_connectivity,
 )
 from .errors import NoZeroDivisorsError, ResourceLimitError
@@ -63,6 +64,7 @@ __all__ = [
     "predict_edge_connectivity",
     "predict_min_degree",
     "predict_vertex_connectivity",
+    "quotient_report",
     "render",
     "sweep",
     "totient",

@@ -1,20 +1,35 @@
 """Exact connectivity of zero-divisor graphs.
 
-Vertex connectivity follows Menger: unit-capacity max-flow on the
-vertex-split network, minimized over a sufficient pair family rooted at a
-minimum-degree vertex (its non-neighbors, plus non-adjacent pairs inside
-its neighborhood).  Edge connectivity is the minimum of s-t max-flows from
-a fixed minimum-degree source; targets are restricted to a dominating set,
-which preserves exactness (a cut smaller than the minimum degree strands a
-dominated vertex on each side) while cutting the flow count by orders of
-magnitude.
+Three engines compute the same numbers.
 
-Cheap certified bounds (connectedness, articulation points, common-neighbor
-counts) short-circuit flows whose value provably cannot lower the running
+The quotient engine (quotient_report) is the one analyze, sweep and audit
+run.  It never builds the graph: it works on one node per divisor class,
+weighted by the class size.  Members of a class are twins (Anderson &
+Livingston, J. Algebra 217, 1999), so each class is a module and a minimal
+separator of vertices in different classes is a union of whole classes.
+Vertex connectivity is then a weighted vertex-split max-flow between
+classes, minimized over Esfahanian-Hakimi pairs (Networks 1984) rooted at
+a minimum-degree class; pairs inside one class are skipped, since twins
+are joined by as many disjoint paths as their degree.  Edge connectivity
+follows from Whitney's chain kappa <= kappa_e <= delta, which kappa =
+delta closes.
+
+The explicit engine (connectivity_report, vertex_connectivity,
+edge_connectivity) runs unit-capacity flows on the materialized graph and
+is the oracle the quotient engine is tested against.  Vertex connectivity
+is the Menger minimum over a sufficient pair family rooted at a
+minimum-degree vertex (its non-neighbors, plus non-adjacent pairs inside
+its neighborhood).  Edge connectivity is the minimum of s-t max-flows
+from a fixed minimum-degree source; targets are restricted to a
+dominating set, which preserves exactness (a cut smaller than the
+minimum degree strands a dominated vertex on each side) while cutting
+the flow count by orders of magnitude.  Cheap certified bounds
+(connectedness, articulation points, common-neighbor counts)
+short-circuit flows whose value provably cannot lower the running
 minimum; the returned values are exactly the Menger minima either way.
 
-Everything also comes in an exhaustive flavor that enumerates deletion
-subsets outright, as an independent cross-check at small sizes.
+The exhaustive engine enumerates deletion subsets outright, as an
+independent cross-check at small sizes.
 """
 from __future__ import annotations
 
@@ -23,6 +38,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ResourceLimitError
+from .graphs import CompressedZdg, class_members, degree_profile
 
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
@@ -69,11 +85,12 @@ def min_degree(g) -> int:
 
 
 class _FlowNet:
-    """Dinic's algorithm on unit capacities with arc-level undo.
+    """Dinic's algorithm on integer capacities with arc-level undo.
 
     Arcs are stored flat; arc a and a^1 are mutual reverses.  max_flow
-    augments one unit per path and stops as soon as the flow reaches the
-    cutoff, recording touched arcs so a caller can roll back cheaply.
+    pushes each path's bottleneck, capped so the flow never passes the
+    cutoff, and stops as soon as it reaches the cutoff, recording touched
+    arcs so a caller can roll back cheaply.
     """
 
     __slots__ = ("adj", "to", "cap", "init_cap")
@@ -151,11 +168,12 @@ class _FlowNet:
                     it[u] += 1
                 if not found:
                     break
+                push = min(cutoff - flow, min(cap[a] for a in path))
                 for a in path:
-                    cap[a] -= 1
-                    cap[a ^ 1] += 1
+                    cap[a] -= push
+                    cap[a ^ 1] += push
                     dirty.append(a)
-                flow += 1
+                flow += push
         return flow
 
     def residual_reachable(self, s: int) -> bytearray:
@@ -503,6 +521,142 @@ def connectivity_report(g) -> ConnectivityReport:
         n=g.n,
         num_vertices=len(view.verts),
         num_edges=sum(view.degs) // 2,
+        delta=delta,
+        kappa_e=kappa_e,
+        kappa=kappa,
+        witness_vertex_cut=vertex_cut,
+        witness_edge_cut=edge_cut,
+    )
+
+
+class _Quotient:
+    """Divisor-class quotient of a compressed graph, shaped like _View.
+
+    Node i is the class of d = verts[i]: sizes[i] = totient(n/d) vertices
+    of common degree degs[i].  Distinct classes d and e are adjacent, every
+    member to every member, exactly when n | d*e, since a class-d vertex
+    is adjacent to the nonzero multiples of n/d.  nbrs leaves out the
+    self-loop of a class that is a clique (n | d^2).
+    """
+
+    __slots__ = ("n", "verts", "sizes", "degs", "nbrs")
+
+    def __init__(self, c: CompressedZdg):
+        n = self.n = c.n
+        class_degrees = degree_profile(c).class_degrees
+        self.verts = [d for d, _ in c.classes]
+        self.sizes = [size for _, size in c.classes]
+        self.degs = [class_degrees[d] for d in self.verts]
+        self.nbrs = [
+            [j for j, e in enumerate(self.verts) if e != d and d * e % n == 0]
+            for d in self.verts
+        ]
+
+    def members(self, classes) -> tuple[int, ...]:
+        """The residues in the given classes, ascending."""
+        n, verts = self.n, self.verts
+        return tuple(sorted(v for i in classes for v in class_members(n, verts[i])))
+
+    def star(self, i: int) -> tuple[int, ...]:
+        """Neighbors of class i's smallest member, the residue verts[i]."""
+        d = self.verts[i]
+        step = self.n // d
+        return tuple(v for v in range(step, self.n, step) if v != d)
+
+
+def _class_pairs(q: _Quotient, root: int):
+    """Esfahanian-Hakimi flow pairs at class level, rooted at class root.
+
+    The root class against each class not adjacent to it, then each pair of
+    mutually non-adjacent classes adjacent to it.  Two non-adjacent
+    vertices of one class share all their neighbors, so their local
+    connectivity is their degree, at least the minimum; those pairs are
+    left out.
+    """
+    near = q.nbrs[root]
+    near_set = set(near)
+    for b in range(len(q.verts)):
+        if b != root and b not in near_set:
+            yield root, b
+    for x, y in combinations(near, 2):
+        if q.verts[x] * q.verts[y] % q.n:
+            yield x, y
+
+
+def _class_vertex_cut(q: _Quotient, root: int) -> tuple[int, tuple[int, ...]]:
+    """Vertex connectivity of a connected quotient with two or more vertices.
+
+    root is a minimum-degree class.  Each class is a module (its members
+    are twins), so a minimal separator of vertices in different classes a
+    and b is a union of whole classes other than a and b.  The local
+    connectivity is then a max-flow on the vertex-split quotient from a's
+    out-node to b's in-node: class c's split arc carries |C_c|, arcs
+    between classes carry nv, which no flow reaches, and a's and b's split
+    arcs never lie on an augmenting path.
+    """
+    nv = sum(q.sizes)
+    best = q.degs[root]
+    if best == nv - 1:  # complete: deleting all but one vertex leaves K_1
+        return best, q.members(range(len(q.verts)))[:best]
+    witness = q.star(root)
+    if best <= 1:
+        return best, witness
+    k = len(q.verts)
+    # node 2i is class i's in-side, 2i+1 its out-side
+    net = _FlowNet(2 * k)
+    for i in range(k):
+        net.add_pair(2 * i, 2 * i + 1, q.sizes[i], 0)
+    for i in range(k):
+        for j in q.nbrs[i]:
+            if i < j:
+                net.add_pair(2 * i + 1, 2 * j, nv, 0)
+                net.add_pair(2 * j + 1, 2 * i, nv, 0)
+    net.freeze()
+    for a, b in _class_pairs(q, root):
+        dirty: list[int] = []
+        flow = net.max_flow(2 * a + 1, 2 * b, best, dirty)
+        if flow < best:
+            best = flow
+            seen = net.residual_reachable(2 * a + 1)
+            witness = q.members(
+                i for i in range(k) if seen[2 * i] and not seen[2 * i + 1]
+            )
+        net.restore(dirty)
+        if best <= 1:
+            break
+    return best, witness
+
+
+def quotient_report(c: CompressedZdg) -> ConnectivityReport:
+    """connectivity_report from the divisor classes, with no explicit graph.
+
+    kappa comes from class-level flows (see _class_vertex_cut).  kappa_e
+    follows from Whitney's chain kappa <= kappa_e <= delta: when kappa
+    equals delta, so does kappa_e, and the minimum-degree vertex's star is
+    its witness.  Raises RuntimeError when kappa < delta, since kappa_e is
+    then not certified.  Witness cuts are in residues.
+    """
+    q = _Quotient(c)
+    root = _min_degree_root(q)
+    delta = q.degs[root]
+    # every vertex having a neighbor, the graph is connected exactly when
+    # its quotient is; delta = 0 only for the single vertex of Z_4
+    if delta > 0 and _view_connected(q):
+        kappa, vertex_cut = _class_vertex_cut(q, root)
+        if kappa < delta:
+            raise RuntimeError(
+                f"n={c.n}: kappa={kappa} < delta={delta}, "
+                "so kappa_e is not certified"
+            )
+        kappa_e = delta
+        r = q.verts[root]
+        edge_cut = tuple(sorted(_sorted_edge(r, v) for v in q.star(root)))
+    else:
+        kappa_e, edge_cut, kappa, vertex_cut = 0, (), 0, ()
+    return ConnectivityReport(
+        n=c.n,
+        num_vertices=c.num_vertices(),
+        num_edges=c.num_edges(),
         delta=delta,
         kappa_e=kappa_e,
         kappa=kappa,

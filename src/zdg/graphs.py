@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import factorize
+from .arith import Factorization, factorize
 from .errors import NoZeroDivisorsError, ResourceLimitError
 
 # Guards for materializing the explicit graph.
@@ -97,10 +97,14 @@ def build_compressed(n: int) -> CompressedZdg:
     Requires composite n >= 4.  Factors n once; the rest is linear in the
     divisor count, independent of n itself.
     """
-    f = factorize(n)
+    return compress(factorize(n))
+
+
+def compress(f: Factorization) -> CompressedZdg:
+    """build_compressed for an n whose factorization is already known."""
     if not f.is_composite():
         raise NoZeroDivisorsError(
-            f"Z_{n} has no nonzero zero divisors; need composite n >= 4"
+            f"Z_{f.n} has no nonzero zero divisors; need composite n >= 4"
         )
     # (d, totient(n/d)) over all divisors d, one prime p^a at a time: p^b in
     # d leaves p^(a-b) in n/d, whose totient is (p-1)*p^(a-b-1), or 1 if b = a
@@ -110,7 +114,7 @@ def build_compressed(n: int) -> CompressedZdg:
         powers.append((p**a, 1))
         pairs = [(d * q, t * s) for d, t in pairs for q, s in powers]
     pairs.sort()
-    return CompressedZdg(n, tuple(pairs[1:-1]))  # drop d = 1 and d = n
+    return CompressedZdg(f.n, tuple(pairs[1:-1]))  # drop d = 1 and d = n
 
 
 def degree_profile(c: CompressedZdg) -> DegreeProfile:
@@ -128,28 +132,39 @@ def class_members(n: int, d: int) -> list[int]:
     return [v for v in range(d, n, d) if gcd(v // d, n // d) == 1]
 
 
-def build_explicit(n: int) -> ZeroDivisorGraph:
-    """Materialize the zero-divisor graph of Z_n.
+def explicit_size(c: CompressedZdg) -> tuple[int, int]:
+    """Vertex and edge count of the explicit graph, if it may be built.
 
-    Refuses (ResourceLimitError) when the graph would exceed
-    MAX_EXPLICIT_VERTICES vertices or MAX_EXPLICIT_EDGES edges; the limits
-    are computed from the compressed form before any allocation.  Members
-    of a class share one neighbor tuple, except those that are multiples
-    of n/d, which get it with themselves removed.
+    Raises ResourceLimitError when the graph would exceed
+    MAX_EXPLICIT_VERTICES vertices or MAX_EXPLICIT_EDGES edges.  This is
+    the one guard that decides which n are refused, whether or not the
+    graph is then materialized.
     """
-    c = build_compressed(n)
     num_vertices = c.num_vertices()
     if num_vertices > MAX_EXPLICIT_VERTICES:
         raise ResourceLimitError(
-            f"n={n}: {num_vertices} vertices exceed the explicit-graph limit "
+            f"n={c.n}: {num_vertices} vertices exceed the explicit-graph limit "
             f"of {MAX_EXPLICIT_VERTICES}"
         )
     num_edges = c.num_edges()
     if num_edges > MAX_EXPLICIT_EDGES:
         raise ResourceLimitError(
-            f"n={n}: {num_edges} edges exceed the explicit-graph limit "
+            f"n={c.n}: {num_edges} edges exceed the explicit-graph limit "
             f"of {MAX_EXPLICIT_EDGES}"
         )
+    return num_vertices, num_edges
+
+
+def build_explicit(n: int) -> ZeroDivisorGraph:
+    """Materialize the zero-divisor graph of Z_n.
+
+    Refuses (ResourceLimitError) past the explicit_size guard, which is
+    computed from the compressed form before any allocation.  Members
+    of a class share one neighbor tuple, except those that are multiples
+    of n/d, which get it with themselves removed.
+    """
+    c = build_compressed(n)
+    num_vertices, num_edges = explicit_size(c)
 
     adjacency: dict[int, tuple[int, ...]] = {}
     for d, _ in c.classes:

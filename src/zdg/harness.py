@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass
 from .arith import factorize, format_factorization
 from .connectivity import (
     DEFAULT_SUBSET_BUDGET,
-    connectivity_report,
     exhaustive_edge_connectivity,
     exhaustive_vertex_connectivity,
     min_degree,
+    quotient_report,
 )
 from .errors import ResourceLimitError
 from .formulas import (
@@ -25,7 +25,7 @@ from .formulas import (
     predict_min_degree,
     predict_vertex_connectivity,
 )
-from .graphs import build_explicit
+from .graphs import build_explicit, compress, explicit_size
 
 CSV_HEADER = (
     "n,factorization,vertices,edges,delta,kappa_e,kappa,"
@@ -76,18 +76,25 @@ def analyze(
     oracle: str = "flow",
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> AuditFinding:
-    """Audit one n.  oracle is "flow" (exact algorithms) or "exhaustive"."""
+    """Audit one n.  oracle is "flow" (exact algorithms) or "exhaustive".
+
+    The flow oracle works on the divisor classes alone (quotient_report);
+    the exhaustive one enumerates cuts of the explicit graph.  Either way,
+    n past the explicit_size guard is a ResourceLimit row.
+    """
     if oracle not in ("flow", "exhaustive"):
         raise ValueError(f"oracle must be 'flow' or 'exhaustive', got {oracle!r}")
     f = factorize(n)  # validates the 64-bit range
     ftext = format_factorization(f)
     if not f.is_composite():
         return _skip(n, ftext, "NoZeroDivisors")
+    c = compress(f)
     try:
-        g = build_explicit(n)
+        num_vertices, num_edges = explicit_size(c)
     except ResourceLimitError:
         return _skip(n, ftext, "ResourceLimit")
     if oracle == "exhaustive":
+        g = build_explicit(n)
         delta = min_degree(g)
         try:
             kappa_e = exhaustive_edge_connectivity(g, budget)
@@ -95,7 +102,7 @@ def analyze(
         except ResourceLimitError:
             return _skip(n, ftext, "ResourceLimit")
     else:
-        rep = connectivity_report(g)
+        rep = quotient_report(c)
         delta, kappa_e, kappa = rep.delta, rep.kappa_e, rep.kappa
     pred_d = predict_min_degree(f)
     pred_e = predict_edge_connectivity(f)
@@ -111,8 +118,8 @@ def analyze(
     return AuditFinding(
         n=n,
         factorization=ftext,
-        vertices=len(g.vertices),
-        edges=g.edge_count,
+        vertices=num_vertices,
+        edges=num_edges,
         delta=delta,
         kappa_e=kappa_e,
         kappa=kappa,

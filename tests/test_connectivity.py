@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 
 from zdg.arith import factorize
 from zdg.connectivity import (
+    _class_vertex_cut,
+    _FlowNet,
+    _Quotient,
     connectivity_report,
     edge_connectivity,
     exhaustive_edge_connectivity,
     exhaustive_vertex_connectivity,
     is_connected,
     min_degree,
+    quotient_report,
     vertex_connectivity,
 )
 from zdg.errors import ResourceLimitError
-from zdg.graphs import build_explicit
+from zdg.graphs import build_compressed, build_explicit
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -185,6 +189,94 @@ def test_whitney_check_survives_optimize(run_optimized):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "1 n=25: kappa=4, kappa_e=3, delta=3 break kappa <= kappa_e <= delta\n"
+    )
+
+
+def test_flow_net_pushes_bottlenecks():
+    # CLRS figure 26.1: max flow 23, min cut {s, v1, v2, v4}
+    arcs = ((0, 1, 16), (0, 2, 13), (1, 3, 12), (2, 1, 4), (2, 4, 14),
+            (3, 2, 9), (3, 5, 20), (4, 3, 7), (4, 5, 4))
+    net = _FlowNet(6)
+    for u, v, cap in arcs:
+        net.add_pair(u, v, cap, 0)
+    net.freeze()
+    dirty: list[int] = []
+    assert net.max_flow(0, 5, 1 << 62, dirty) == 23
+    seen = net.residual_reachable(0)
+    assert [i for i in range(6) if seen[i]] == [0, 1, 2, 4]
+    assert sum(c for u, v, c in arcs if seen[u] and not seen[v]) == 23
+    net.restore(dirty)
+    assert net.cap == net.init_cap
+    for cutoff in (1, 10, 22):
+        dirty = []
+        assert net.max_flow(0, 5, cutoff, dirty) == cutoff
+        net.restore(dirty)
+        assert net.cap == net.init_cap
+
+
+def test_quotient_matches_explicit_to_1500():
+    # the explicit engine is the oracle for the quotient engine analyze runs
+    for n in range(4, 1501):
+        if not factorize(n).is_composite():
+            continue
+        g = build_explicit(n)
+        quo = quotient_report(build_compressed(n))
+        exp = connectivity_report(g)
+        fields = ("num_vertices", "num_edges", "delta", "kappa_e", "kappa")
+        assert [getattr(quo, k) for k in fields] == [
+            getattr(exp, k) for k in fields
+        ], n
+        verts = list(g.vertices)
+        vcut = quo.witness_vertex_cut
+        assert len(set(vcut)) == len(vcut) == quo.kappa, n
+        assert set(vcut) <= set(verts), n
+        assert len(verts) - quo.kappa == 1 or not _alive_connected(
+            verts, g.adjacency, frozenset(vcut)
+        ), n
+        ecut = quo.witness_edge_cut
+        assert len(set(ecut)) == len(ecut) == quo.kappa_e, n
+        assert all(w in g.adjacency[u] for u, w in ecut), n
+        assert len(verts) == 1 or not _alive_connected(
+            verts, g.adjacency, frozenset(), frozenset(ecut)
+        ), n
+
+
+def test_quotient_report_witnesses():
+    rep = quotient_report(build_compressed(105))
+    assert (rep.delta, rep.kappa_e, rep.kappa) == (2, 2, 2)
+    assert rep.witness_vertex_cut == (35, 70)
+    assert rep.witness_edge_cut == ((3, 35), (3, 70))
+    rep = quotient_report(build_compressed(25))  # K_4
+    assert rep.witness_vertex_cut == (5, 10, 15)
+    rep = quotient_report(build_compressed(4))  # K_1
+    assert (rep.num_vertices, rep.delta, rep.kappa_e, rep.kappa) == (1, 0, 0, 0)
+    assert rep.witness_vertex_cut == rep.witness_edge_cut == ()
+
+
+def test_class_flow_returns_residual_cut():
+    # on zero-divisor graphs kappa = delta, so no flow comes in below the
+    # root's star; weighting class 21 of Z_105 as 1 instead of 4 makes it a
+    # smaller separator of classes 3 and 5, returned as its residues
+    q = _Quotient(build_compressed(105))
+    q.sizes[q.verts.index(21)] = 1
+    assert _class_vertex_cut(q, q.verts.index(3)) == (1, (21, 42, 63, 84))
+
+
+def test_quotient_check_survives_optimize(run_optimized):
+    # kappa < delta leaves kappa_e uncertified; that must raise under -O
+    proc = run_optimized(
+        "import sys\n"
+        "from zdg import connectivity\n"
+        "from zdg.graphs import build_compressed\n"
+        "connectivity._class_vertex_cut = lambda q, root: (1, (35,))\n"
+        "try:\n"
+        "    connectivity.quotient_report(build_compressed(105))\n"
+        "except RuntimeError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "1 n=105: kappa=1 < delta=2, so kappa_e is not certified\n"
     )
 
 

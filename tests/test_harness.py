@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import asdict, replace
 
 import pytest
 
+import zdg.graphs as graphs
 import zdg.harness as harness
+from zdg.arith import factorize
+from zdg.errors import ResourceLimitError
 from zdg.formulas import Prediction
 from zdg.harness import (
     CSV_HEADER,
@@ -66,6 +70,72 @@ def test_analyze_resource_skip():
     assert row.skip_reason == "ResourceLimit"
     assert row.factorization == "2^6*5^6"
     assert row.vertices is None
+
+
+def test_analyze_answers_promptly():
+    # each took over 100 s when analyze ran flows on the explicit graph
+    for n, value in ((77077, 6), (241133, 58)):  # 7^2*11^2*13, 59*61*67
+        t0 = time.perf_counter()
+        row = analyze(n)
+        assert time.perf_counter() - t0 < 1.0, n
+        assert row.match is True
+        assert (row.delta, row.kappa_e, row.kappa) == (value,) * 3
+
+
+@pytest.mark.parametrize(
+    "n, vertices, edges",
+    [
+        (2 * 199999, 199999, 199998),  # vertices at most the limit
+        (2 * 200003, 200003, 200002),  # vertices past it
+        (7001 * 7129, 14128, 49896000),  # edges at most the limit
+        (7001 * 7151, 14150, 50050000),  # edges past it
+    ],
+)
+def test_resource_limit_is_the_explicit_guard(n, vertices, edges):
+    c = graphs.build_compressed(n)
+    assert (c.num_vertices(), c.num_edges()) == (vertices, edges)
+    refused = (
+        vertices > graphs.MAX_EXPLICIT_VERTICES
+        or edges > graphs.MAX_EXPLICIT_EDGES
+    )
+    try:
+        graphs.build_explicit(n)
+    except ResourceLimitError:
+        assert refused
+    else:
+        assert not refused
+    row = analyze(n)
+    assert (row.skip_reason == "ResourceLimit") == refused
+    if not refused:
+        assert (row.vertices, row.edges) == (vertices, edges)
+
+
+def test_flow_oracle_builds_no_explicit_graph(monkeypatch):
+    expected = sweep(4, 200)
+
+    def refuse(n):
+        raise AssertionError(f"build_explicit({n}) called")
+
+    monkeypatch.setattr(harness, "build_explicit", refuse)
+    monkeypatch.setattr(graphs, "build_explicit", refuse)
+    assert sweep(4, 200) == expected
+    with pytest.raises(AssertionError, match="build_explicit"):
+        analyze(25, oracle="exhaustive")
+
+
+def test_analyze_factorizes_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(harness, "factorize", counting)
+    monkeypatch.setattr(graphs, "factorize", counting)
+    for n in (12, 25, 10**6, 963761198400):
+        calls.clear()
+        analyze(n)
+        assert calls == [n]
 
 
 def test_analyze_exhaustive_oracle():
