@@ -1,8 +1,8 @@
 """Integer arithmetic helpers: factorization, totient, divisor enumeration.
 
-Everything here is exact integer math via trial division, which is fine for
-the 64-bit inputs this package targets (comfortable up to ~10^12; the hard
-cap is 2^63 - 1).
+Everything here is exact integer math via trial division.  Inputs may be
+any integer up to 2^63 - 1, but trial division is only comfortable up to
+around 10^12: factorizing the prime 2^61 - 1 takes over a minute.
 """
 from __future__ import annotations
 

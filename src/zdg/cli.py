@@ -25,10 +25,6 @@ _OPTIONS = {
     "jobs": dict(
         type=int, default=1, metavar="K", help="worker processes (default 1)",
     ),
-    "oracle": dict(
-        choices=("flow", "exhaustive"), default="flow",
-        help="connectivity engine (default flow)",
-    ),
 }
 
 
@@ -46,19 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = commands.add_parser("analyze", help="audit a single n")
     p_analyze.add_argument("--n", type=int, required=True)
-    _add_options(p_analyze, "format", "output", "oracle")
+    _add_options(p_analyze, "format", "output")
 
     p_sweep = commands.add_parser("sweep", help="audit a whole range")
     p_sweep.add_argument("--from", dest="start", type=int, required=True)
     p_sweep.add_argument("--to", dest="stop", type=int, required=True)
-    _add_options(p_sweep, "format", "output", "jobs", "oracle")
+    _add_options(p_sweep, "format", "output", "jobs")
 
     p_audit = commands.add_parser(
         "audit", help="sweep a range, print offenders and a verdict"
     )
     p_audit.add_argument("--from", dest="start", type=int, required=True)
     p_audit.add_argument("--to", dest="stop", type=int, required=True)
-    _add_options(p_audit, "output", "jobs", "oracle")
+    _add_options(p_audit, "output", "jobs")
 
     p_dot = commands.add_parser("export-dot", help="emit Graphviz DOT text")
     p_dot.add_argument("--n", type=int, required=True)
@@ -80,21 +76,19 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    finding = analyze(args.n, oracle=args.oracle)
+    finding = analyze(args.n)
     _emit(render([finding], args.format), args.output)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    findings = sweep(
-        args.start, args.stop, jobs=args.jobs, oracle=args.oracle
-    )
+    findings = sweep(args.start, args.stop, jobs=args.jobs)
     _emit(render(findings, args.format), args.output)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    result = audit(args.start, args.stop, jobs=args.jobs, oracle=args.oracle)
+    result = audit(args.start, args.stop, jobs=args.jobs)
     lines = [csv_row(r) for r in result.rows if r.skip_reason or not r.match]
     lines.append(result.summary())
     _emit("\n".join(lines) + "\n", args.output)

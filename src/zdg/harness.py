@@ -1,8 +1,10 @@
 """Sweep and audit machinery: computed connectivity vs closed-form predictions.
 
-A finding is one row of the audit table.  Rows for n with no zero-divisor
-graph (n prime, n <= 3) or past a resource guard carry a skip reason and no
-values.  Rendering is deterministic so sweeps can be diffed byte-for-byte.
+A finding is one row of the audit table.  Each composite n is analysed on
+its divisor classes alone (connectivity.quotient_report); no explicit graph
+is built.  Rows for n with no zero-divisor graph (n prime, n <= 3) or past
+the explicit-graph size guard carry a skip reason and no values.  Rendering
+is deterministic so sweeps can be diffed byte-for-byte.
 """
 from __future__ import annotations
 
@@ -12,20 +14,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .arith import factorize, format_factorization
-from .connectivity import (
-    DEFAULT_SUBSET_BUDGET,
-    exhaustive_edge_connectivity,
-    exhaustive_vertex_connectivity,
-    min_degree,
-    quotient_report,
-)
+from .connectivity import quotient_report
 from .errors import ResourceLimitError
 from .formulas import (
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
 )
-from .graphs import build_explicit, compress, explicit_size
+from .graphs import compress, explicit_size
 
 CSV_HEADER = (
     "n,factorization,vertices,edges,delta,kappa_e,kappa,"
@@ -39,71 +35,36 @@ class AuditFinding:
 
     n: int
     factorization: str
-    vertices: int | None
-    edges: int | None
-    delta: int | None
-    kappa_e: int | None
-    kappa: int | None
-    pred_delta: int | None
-    pred_kappa_e: int | None
-    pred_kappa: int | None
-    tags: str
-    match: bool
-    skip_reason: str
+    vertices: int | None = None
+    edges: int | None = None
+    delta: int | None = None
+    kappa_e: int | None = None
+    kappa: int | None = None
+    pred_delta: int | None = None
+    pred_kappa_e: int | None = None
+    pred_kappa: int | None = None
+    tags: str = ""
+    match: bool = False
+    skip_reason: str = ""
 
 
-def _skip(n: int, ftext: str, reason: str) -> AuditFinding:
-    return AuditFinding(
-        n=n,
-        factorization=ftext,
-        vertices=None,
-        edges=None,
-        delta=None,
-        kappa_e=None,
-        kappa=None,
-        pred_delta=None,
-        pred_kappa_e=None,
-        pred_kappa=None,
-        tags="",
-        match=False,
-        skip_reason=reason,
-    )
+def analyze(n: int) -> AuditFinding:
+    """Audit one n: compute delta, kappa_e and kappa on the divisor classes.
 
-
-def analyze(
-    n: int,
-    *,
-    oracle: str = "flow",
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> AuditFinding:
-    """Audit one n.  oracle is "flow" (exact algorithms) or "exhaustive".
-
-    The flow oracle works on the divisor classes alone (quotient_report);
-    the exhaustive one enumerates cuts of the explicit graph.  Either way,
-    n past the explicit_size guard is a ResourceLimit row.
+    The values come from quotient_report on the classes of the one
+    factorization of n; n past the explicit_size guard is a ResourceLimit
+    row, so the same n are refused as by build_explicit.
     """
-    if oracle not in ("flow", "exhaustive"):
-        raise ValueError(f"oracle must be 'flow' or 'exhaustive', got {oracle!r}")
     f = factorize(n)  # validates the 64-bit range
     ftext = format_factorization(f)
     if not f.is_composite():
-        return _skip(n, ftext, "NoZeroDivisors")
+        return AuditFinding(n, ftext, skip_reason="NoZeroDivisors")
     c = compress(f)
     try:
         num_vertices, num_edges = explicit_size(c)
     except ResourceLimitError:
-        return _skip(n, ftext, "ResourceLimit")
-    if oracle == "exhaustive":
-        g = build_explicit(n)
-        delta = min_degree(g)
-        try:
-            kappa_e = exhaustive_edge_connectivity(g, budget)
-            kappa = exhaustive_vertex_connectivity(g, budget)
-        except ResourceLimitError:
-            return _skip(n, ftext, "ResourceLimit")
-    else:
-        rep = quotient_report(c)
-        delta, kappa_e, kappa = rep.delta, rep.kappa_e, rep.kappa
+        return AuditFinding(n, ftext, skip_reason="ResourceLimit")
+    rep = quotient_report(c)
     pred_d = predict_min_degree(f)
     pred_e = predict_edge_connectivity(f)
     pred_v = predict_vertex_connectivity(f)
@@ -111,40 +72,27 @@ def analyze(
         (pred_d.theorem_tag, pred_e.theorem_tag, pred_v.theorem_tag)
     )
     match = (
-        delta == pred_d.value
-        and kappa_e == pred_e.value
-        and kappa == pred_v.value
+        rep.delta == pred_d.value
+        and rep.kappa_e == pred_e.value
+        and rep.kappa == pred_v.value
     )
     return AuditFinding(
         n=n,
         factorization=ftext,
         vertices=num_vertices,
         edges=num_edges,
-        delta=delta,
-        kappa_e=kappa_e,
-        kappa=kappa,
+        delta=rep.delta,
+        kappa_e=rep.kappa_e,
+        kappa=rep.kappa,
         pred_delta=pred_d.value,
         pred_kappa_e=pred_e.value,
         pred_kappa=pred_v.value,
         tags=tags,
         match=match,
-        skip_reason="",
     )
 
 
-def _analyze_task(args: tuple[int, str, int]) -> AuditFinding:
-    n, oracle, budget = args
-    return analyze(n, oracle=oracle, budget=budget)
-
-
-def sweep(
-    start: int,
-    stop: int,
-    *,
-    jobs: int = 1,
-    oracle: str = "flow",
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> list[AuditFinding]:
+def sweep(start: int, stop: int, *, jobs: int = 1) -> list[AuditFinding]:
     """Audit every n in [start, stop], in ascending order.
 
     With jobs > 1 the work is spread over a process pool of at most
@@ -158,11 +106,10 @@ def sweep(
     values = range(start, stop + 1)
     workers = min(jobs, os.cpu_count() or 1, len(values))
     if workers == 1:
-        return [analyze(n, oracle=oracle, budget=budget) for n in values]
-    tasks = [(n, oracle, budget) for n in values]
-    chunk = max(1, len(tasks) // (workers * 8))
+        return [analyze(n) for n in values]
+    chunk = max(1, len(values) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_analyze_task, tasks, chunksize=chunk))
+        return list(pool.map(analyze, values, chunksize=chunk))
 
 
 @dataclass(frozen=True)
@@ -179,16 +126,9 @@ class AuditResult:
         )
 
 
-def audit(
-    start: int,
-    stop: int,
-    *,
-    jobs: int = 1,
-    oracle: str = "flow",
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> AuditResult:
+def audit(start: int, stop: int, *, jobs: int = 1) -> AuditResult:
     """Sweep a range and fold the rows into an audit verdict."""
-    rows = tuple(sweep(start, stop, jobs=jobs, oracle=oracle, budget=budget))
+    rows = tuple(sweep(start, stop, jobs=jobs))
     mismatches = tuple(r for r in rows if not r.skip_reason and not r.match)
     skipped = tuple(r for r in rows if r.skip_reason)
     checked = sum(1 for r in rows if not r.skip_reason)

@@ -43,7 +43,7 @@ def test_analyze_rejects_bad_n(capsys):
 
 
 def test_analyze_exhaustive_oracle(capsys):
-    assert main(["analyze", "--n", "27", "--oracle", "exhaustive"]) == 0
+    assert main(["analyze", "--n", "27"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
     assert line.startswith("27,3^3,8,13,2,2,2,")
 
@@ -121,6 +121,10 @@ def test_unread_flags_are_usage_errors(capsys):
     assert main(["export-dot", "--n", "8", "--oracle", "flow"]) == 1
     assert main(["analyze", "--n", "25", "--jobs", "2"]) == 1
     assert main(["audit", "--from", "4", "--to", "9", "--format", "csv"]) == 1
+    # one connectivity engine, so no subcommand takes --oracle
+    assert main(["analyze", "--n", "25", "--oracle", "flow"]) == 1
+    assert main(["sweep", "--from", "4", "--to", "9", "--oracle", "flow"]) == 1
+    assert main(["audit", "--from", "4", "--to", "9", "--oracle", "flow"]) == 1
     assert capsys.readouterr().out == ""
 
 
@@ -129,11 +133,12 @@ def test_help_exits_0(capsys):
     assert "analyze" in capsys.readouterr().out
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "zdg.cli", "analyze", "--n", "25"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER

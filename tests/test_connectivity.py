@@ -241,6 +241,23 @@ def test_quotient_matches_explicit_to_1500():
         ), n
 
 
+def test_explicit_matches_networkx_61_to_150():
+    # a third, independent oracle for the explicit engine past the
+    # exhaustive cross-check of acceptance criterion 7 (4..60)
+    nx = pytest.importorskip("networkx")
+    for n in range(61, 151):
+        if not factorize(n).is_composite():
+            continue
+        g = build_explicit(n)
+        rep = connectivity_report(g)
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(g.vertices)
+        assert (nx.node_connectivity(h), nx.edge_connectivity(h)) == (
+            rep.kappa,
+            rep.kappa_e,
+        ), n
+
+
 def test_quotient_report_witnesses():
     rep = quotient_report(build_compressed(105))
     assert (rep.delta, rep.kappa_e, rep.kappa) == (2, 2, 2)

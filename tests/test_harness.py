@@ -116,11 +116,8 @@ def test_flow_oracle_builds_no_explicit_graph(monkeypatch):
     def refuse(n):
         raise AssertionError(f"build_explicit({n}) called")
 
-    monkeypatch.setattr(harness, "build_explicit", refuse)
     monkeypatch.setattr(graphs, "build_explicit", refuse)
     assert sweep(4, 200) == expected
-    with pytest.raises(AssertionError, match="build_explicit"):
-        analyze(25, oracle="exhaustive")
 
 
 def test_analyze_factorizes_once(monkeypatch):
@@ -138,17 +135,7 @@ def test_analyze_factorizes_once(monkeypatch):
         assert calls == [n]
 
 
-def test_analyze_exhaustive_oracle():
-    row = analyze(25, oracle="exhaustive")
-    assert (row.delta, row.kappa_e, row.kappa) == (3, 3, 3)
-    assert row.match is True
-    tiny = analyze(30, oracle="exhaustive", budget=10)
-    assert tiny.skip_reason == "ResourceLimit"
-
-
 def test_analyze_input_validation():
-    with pytest.raises(ValueError):
-        analyze(25, oracle="guess")
     with pytest.raises(ValueError):
         analyze(0)
     with pytest.raises(ValueError):
