@@ -8,7 +8,8 @@ each class has a closed form (Anderson & Livingston, J. Algebra 217,
 of n/d other than x itself.  So every class-d vertex has degree
 d - 1 - [n | d^2], and its neighbors are range(n/d, n, n/d) without x.
 Sizes and degrees therefore come from the factorization of n alone and
-scale to n around 10^12 without touching individual residues.
+cost time linear in the number of divisors of n, for any n up to
+2^63 - 1, without touching individual residues.
 """
 from __future__ import annotations
 

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import factorint, isprime, primerange
 
 from zdg.arith import Factorization, divisors, factorize, format_factorization, totient
 
@@ -73,8 +75,73 @@ def test_factorize_large_square():
     assert f.factors == ((p, 2),)
 
 
+def test_factorize_prime_squares_near_trial_bound():
+    # a prime missing from the trial table would leave p^2 < 10^6 as a "prime"
+    for p in primerange(2, 1100):
+        assert factorize(p * p).factors == ((p, 2),), p
+
+
+# Inputs that defeat weak primality tests or slow factoring methods.
+HARD_INPUTS = [
+    561,  # Carmichael numbers
+    41041,
+    825265,
+    321197185,
+    341550071728321,  # strong pseudoprime to bases 2..17
+    3825123056546413051,  # strong pseudoprime to bases 2..23
+    2**61 - 1,  # prime
+    2**63 - 25,  # largest prime below 2^63
+    2**63 - 1,  # 7^2*73*127*337*92737*649657
+    3037000453 * 3037000493,  # balanced semiprimes
+    2147483647 * 4294967291,
+    3037000493**2,  # prime powers
+    2147483647**2,
+    2097143**3,
+]
+
+
+@pytest.mark.parametrize("n", HARD_INPUTS)
+def test_factorize_hard_inputs(n):
+    t0 = time.perf_counter()
+    f = factorize(n)
+    elapsed = time.perf_counter() - t0
+    assert f.factors == tuple(sorted(factorint(n).items()))
+    assert elapsed < 1.0
+
+
+def test_factorize_seeded_sample():
+    # every bit length in 1..63 is equally likely, so small n are drawn as often as large
+    rng = random.Random(20261018)
+    for _ in range(10**4):
+        bits = rng.randint(1, 63)
+        n = rng.randrange(1 << (bits - 1), 1 << bits)
+        f = factorize(n)
+        primes = [p for p, _ in f.factors]
+        assert primes == sorted(set(primes)), n
+        assert all(isprime(p) for p in primes), n
+        assert math.prod(p**a for p, a in f.factors) == n
+
+
+def test_factorize_check_survives_optimize(run_optimized):
+    # a rho step that returns a non-divisor must be caught under -O
+    proc = run_optimized(
+        "import sys\n"
+        "from zdg import arith\n"
+        "arith._pollard_brent = lambda m: 1000033\n"
+        "try:\n"
+        "    arith.factorize(1000003**2)\n"
+        "except RuntimeError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "1 n=1000006000009: prime powers multiply to 1000005999109,"
+        " expected 1000006000009\n"
+    )
+
+
 @PROPERTY_SETTINGS
-@given(st.integers(min_value=1, max_value=10**6))
+@given(st.integers(min_value=1, max_value=2**63 - 1))
 def test_factorization_reconstructs_and_is_prime(n):
     f = factorize(n)
     prod = 1

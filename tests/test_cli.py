@@ -36,6 +36,20 @@ def test_analyze_prime_is_a_skip_row(capsys):
     assert "NoZeroDivisors" in out
 
 
+def test_analyze_prime_near_2_63(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zdg.cli", "analyze", "--n", "9223372036854775783"],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[1]
+    assert row.startswith("9223372036854775783,9223372036854775783,")
+    assert row.endswith(",NoZeroDivisors")
+
+
 def test_analyze_rejects_bad_n(capsys):
     assert main(["analyze", "--n", "0"]) == 1
     err = capsys.readouterr().err

@@ -83,6 +83,21 @@ def test_analyze_answers_promptly():
 
 
 @pytest.mark.parametrize(
+    "n, skip_reason",
+    [
+        (2**61 - 1, "NoZeroDivisors"),  # took over a minute by trial division
+        (3037000493**2, "ResourceLimit"),
+        (3037000453 * 3037000493, "ResourceLimit"),
+    ],
+)
+def test_analyze_big_n_promptly(n, skip_reason):
+    t0 = time.perf_counter()
+    row = analyze(n)
+    assert time.perf_counter() - t0 < 1.0
+    assert row.skip_reason == skip_reason
+
+
+@pytest.mark.parametrize(
     "n, vertices, edges",
     [
         (2 * 199999, 199999, 199998),  # vertices at most the limit
