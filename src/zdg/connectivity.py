@@ -3,16 +3,17 @@
 Three engines compute the same numbers.
 
 The quotient engine (quotient_report) is the one analyze, sweep and audit
-run.  It never builds the graph: it works on one node per divisor class,
-weighted by the class size.  Members of a class are twins (Anderson &
-Livingston, J. Algebra 217, 1999), so each class is a module and a minimal
-separator of vertices in different classes is a union of whole classes.
-Vertex connectivity is then a weighted vertex-split max-flow between
-classes, minimized over Esfahanian-Hakimi pairs (Networks 1984) rooted at
-a minimum-degree class; pairs inside one class are skipped, since twins
-are joined by as many disjoint paths as their degree.  Edge connectivity
-follows from Whitney's chain kappa <= kappa_e <= delta, which kappa =
-delta closes.
+run.  It never builds the graph and runs no flow: it certifies kappa =
+kappa_e = delta from the divisor classes alone, in time linear in their
+number.  Members of a class are twins and each class is an independent
+set or a clique (Anderson & Livingston, J. Algebra 217, 1999), so each
+class is a module.  A minimum separator of two non-adjacent vertices is
+then either their shared neighborhood (same class, at least delta
+vertices) or a nonempty union of whole classes (at least the smallest
+class, n/p of size p - 1 for the smallest prime p).  Once the class graph
+is certified connected, a smallest class of at least delta vertices gives
+kappa >= delta; the minimum-degree vertex's star gives kappa <= delta, and
+Whitney's chain kappa <= kappa_e <= delta closes kappa_e.
 
 The explicit engine (connectivity_report, vertex_connectivity,
 edge_connectivity) runs unit-capacity flows on the materialized graph and
@@ -529,137 +530,74 @@ def connectivity_report(g) -> ConnectivityReport:
     )
 
 
-class _Quotient:
-    """Divisor-class quotient of a compressed graph, shaped like _View.
+def _certify_connected(c: CompressedZdg) -> None:
+    """Raise RuntimeError unless the class graph is connected.
 
-    Node i is the class of d = verts[i]: sizes[i] = totient(n/d) vertices
-    of common degree degs[i].  Distinct classes d and e are adjacent, every
-    member to every member, exactly when n | d*e, since a class-d vertex
-    is adjacent to the nonzero multiples of n/d.  nbrs leaves out the
-    self-loop of a class that is a clique (n | d^2).
+    The hub is the class L = n/p of the smallest prime p (the smallest
+    class d is p itself).  Classes d and e are adjacent when n | d*e, so a
+    class d != L is joined to L directly when n | d*L, and otherwise
+    through the class n/d, adjacent to d since d * (n/d) = n.  That needs
+    O(classes) set lookups and no adjacency.
     """
-
-    __slots__ = ("n", "verts", "sizes", "degs", "nbrs")
-
-    def __init__(self, c: CompressedZdg):
-        n = self.n = c.n
-        class_degrees = degree_profile(c).class_degrees
-        self.verts = [d for d, _ in c.classes]
-        self.sizes = [size for _, size in c.classes]
-        self.degs = [class_degrees[d] for d in self.verts]
-        self.nbrs = [
-            [j for j, e in enumerate(self.verts) if e != d and d * e % n == 0]
-            for d in self.verts
-        ]
-
-    def members(self, classes) -> tuple[int, ...]:
-        """The residues in the given classes, ascending."""
-        n, verts = self.n, self.verts
-        return tuple(sorted(v for i in classes for v in class_members(n, verts[i])))
-
-    def star(self, i: int) -> tuple[int, ...]:
-        """Neighbors of class i's smallest member, the residue verts[i]."""
-        d = self.verts[i]
-        step = self.n // d
-        return tuple(v for v in range(step, self.n, step) if v != d)
-
-
-def _class_pairs(q: _Quotient, root: int):
-    """Esfahanian-Hakimi flow pairs at class level, rooted at class root.
-
-    The root class against each class not adjacent to it, then each pair of
-    mutually non-adjacent classes adjacent to it.  Two non-adjacent
-    vertices of one class share all their neighbors, so their local
-    connectivity is their degree, at least the minimum; those pairs are
-    left out.
-    """
-    near = q.nbrs[root]
-    near_set = set(near)
-    for b in range(len(q.verts)):
-        if b != root and b not in near_set:
-            yield root, b
-    for x, y in combinations(near, 2):
-        if q.verts[x] * q.verts[y] % q.n:
-            yield x, y
-
-
-def _class_vertex_cut(q: _Quotient, root: int) -> tuple[int, tuple[int, ...]]:
-    """Vertex connectivity of a connected quotient with two or more vertices.
-
-    root is a minimum-degree class.  Each class is a module (its members
-    are twins), so a minimal separator of vertices in different classes a
-    and b is a union of whole classes other than a and b.  The local
-    connectivity is then a max-flow on the vertex-split quotient from a's
-    out-node to b's in-node: class c's split arc carries |C_c|, arcs
-    between classes carry nv, which no flow reaches, and a's and b's split
-    arcs never lie on an augmenting path.
-    """
-    nv = sum(q.sizes)
-    best = q.degs[root]
-    if best == nv - 1:  # complete: deleting all but one vertex leaves K_1
-        return best, q.members(range(len(q.verts)))[:best]
-    witness = q.star(root)
-    if best <= 1:
-        return best, witness
-    k = len(q.verts)
-    # node 2i is class i's in-side, 2i+1 its out-side
-    net = _FlowNet(2 * k)
-    for i in range(k):
-        net.add_pair(2 * i, 2 * i + 1, q.sizes[i], 0)
-    for i in range(k):
-        for j in q.nbrs[i]:
-            if i < j:
-                net.add_pair(2 * i + 1, 2 * j, nv, 0)
-                net.add_pair(2 * j + 1, 2 * i, nv, 0)
-    net.freeze()
-    for a, b in _class_pairs(q, root):
-        dirty: list[int] = []
-        flow = net.max_flow(2 * a + 1, 2 * b, best, dirty)
-        if flow < best:
-            best = flow
-            seen = net.residual_reachable(2 * a + 1)
-            witness = q.members(
-                i for i in range(k) if seen[2 * i] and not seen[2 * i + 1]
-            )
-        net.restore(dirty)
-        if best <= 1:
-            break
-    return best, witness
+    n = c.n
+    present = {d for d, _ in c.classes}
+    hub = n // c.classes[0][0]
+    for d, _ in c.classes:
+        if d == hub:
+            continue
+        if hub in present and (
+            d * hub % n == 0 or n // d in present and n // d * hub % n == 0
+        ):
+            continue
+        raise RuntimeError(
+            f"n={n}: class {d} reaches class {hub} neither directly nor "
+            f"through class {n // d}, so connectedness is not certified"
+        )
 
 
 def quotient_report(c: CompressedZdg) -> ConnectivityReport:
     """connectivity_report from the divisor classes, with no explicit graph.
 
-    kappa comes from class-level flows (see _class_vertex_cut).  kappa_e
-    follows from Whitney's chain kappa <= kappa_e <= delta: when kappa
-    equals delta, so does kappa_e, and the minimum-degree vertex's star is
-    its witness.  Raises RuntimeError when kappa < delta, since kappa_e is
-    then not certified.  Witness cuts are in residues.
+    All the work is linear in the number of classes; no flow runs and no
+    class adjacency is built.  Each class is a module: its members are
+    twins, and it is an independent set or a clique (Anderson & Livingston,
+    J. Algebra 217, 1999).  A minimum separator of non-adjacent u and v is
+    therefore their shared neighborhood (u, v in one class, size >= delta)
+    or a nonempty union of whole classes (size >= the smallest class).  So
+    once the class graph is certified connected (_certify_connected) and no
+    class is smaller than delta, kappa >= delta, and the minimum-degree
+    vertex's star gives kappa <= delta.  kappa_e = delta then follows from
+    Whitney's chain kappa <= kappa_e <= delta, with the star's edges as
+    witness.  A complete graph (n = p^2, or K_1 for n = 4) has
+    kappa = delta = m - 1 on m vertices.  Raises RuntimeError when either
+    certificate fails.  Witness cuts are in residues.
     """
-    q = _Quotient(c)
-    root = _min_degree_root(q)
-    delta = q.degs[root]
-    # every vertex having a neighbor, the graph is connected exactly when
-    # its quotient is; delta = 0 only for the single vertex of Z_4
-    if delta > 0 and _view_connected(q):
-        kappa, vertex_cut = _class_vertex_cut(q, root)
-        if kappa < delta:
-            raise RuntimeError(
-                f"n={c.n}: kappa={kappa} < delta={delta}, "
-                "so kappa_e is not certified"
-            )
-        kappa_e = delta
-        r = q.verts[root]
-        edge_cut = tuple(sorted(_sorted_edge(r, v) for v in q.star(root)))
+    n = c.n
+    class_degrees = degree_profile(c).class_degrees
+    root = min(class_degrees, key=class_degrees.get)  # first minimum
+    delta = class_degrees[root]
+    _certify_connected(c)
+    num_vertices = c.num_vertices()
+    star = tuple(v for v in range(n // root, n, n // root) if v != root)
+    if delta == num_vertices - 1:  # complete: deleting all but one leaves K_1
+        vertex_cut = tuple(
+            sorted(v for d, _ in c.classes for v in class_members(n, d))
+        )[:delta]
     else:
-        kappa_e, edge_cut, kappa, vertex_cut = 0, (), 0, ()
+        size, d = min((size, d) for d, size in c.classes)
+        if size < delta:
+            raise RuntimeError(
+                f"n={n}: smallest class {d} has size {size} < delta={delta}, "
+                "so kappa = delta is not certified"
+            )
+        vertex_cut = star
     return ConnectivityReport(
-        n=c.n,
-        num_vertices=c.num_vertices(),
+        n=n,
+        num_vertices=num_vertices,
         num_edges=c.num_edges(),
         delta=delta,
-        kappa_e=kappa_e,
-        kappa=kappa,
+        kappa_e=delta,
+        kappa=delta,
         witness_vertex_cut=vertex_cut,
-        witness_edge_cut=edge_cut,
+        witness_edge_cut=tuple(sorted(_sorted_edge(root, v) for v in star)),
     )

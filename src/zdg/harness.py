@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .arith import factorize, format_factorization
 from .connectivity import quotient_report
@@ -46,6 +47,11 @@ class AuditFinding:
     tags: str = ""
     match: bool = False
     skip_reason: str = ""
+
+
+# Column order of the CSV and key order of the JSON: the field order.
+_FIELD_NAMES = tuple(f.name for f in fields(AuditFinding))
+_field_values = attrgetter(*_FIELD_NAMES)
 
 
 def analyze(n: int) -> AuditFinding:
@@ -146,8 +152,7 @@ def _csv_cell(value) -> str:
 
 
 def csv_row(finding: AuditFinding) -> str:
-    d = asdict(finding)
-    return ",".join(_csv_cell(d[k]) for k in d)
+    return ",".join(map(_csv_cell, _field_values(finding)))
 
 
 def render_csv(findings) -> str:
@@ -157,7 +162,8 @@ def render_csv(findings) -> str:
 
 
 def render_json(findings) -> str:
-    return json.dumps([asdict(f) for f in findings], indent=2) + "\n"
+    rows = [dict(zip(_FIELD_NAMES, _field_values(f))) for f in findings]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def render(findings, fmt: str) -> str:

@@ -1,7 +1,9 @@
 """Connectivity: flow-based exact values, exhaustive cross-checks, witnesses."""
 from __future__ import annotations
 
+import time
 from itertools import combinations
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -10,9 +12,7 @@ from hypothesis import strategies as st
 
 from zdg.arith import factorize
 from zdg.connectivity import (
-    _class_vertex_cut,
     _FlowNet,
-    _Quotient,
     connectivity_report,
     edge_connectivity,
     exhaustive_edge_connectivity,
@@ -23,7 +23,12 @@ from zdg.connectivity import (
     vertex_connectivity,
 )
 from zdg.errors import ResourceLimitError
-from zdg.graphs import build_compressed, build_explicit
+from zdg.formulas import (
+    predict_edge_connectivity,
+    predict_min_degree,
+    predict_vertex_connectivity,
+)
+from zdg.graphs import CompressedZdg, build_compressed, build_explicit
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -270,31 +275,92 @@ def test_quotient_report_witnesses():
     assert rep.witness_vertex_cut == rep.witness_edge_cut == ()
 
 
-def test_class_flow_returns_residual_cut():
-    # on zero-divisor graphs kappa = delta, so no flow comes in below the
-    # root's star; weighting class 21 of Z_105 as 1 instead of 4 makes it a
-    # smaller separator of classes 3 and 5, returned as its residues
-    q = _Quotient(build_compressed(105))
-    q.sizes[q.verts.index(21)] = 1
-    assert _class_vertex_cut(q, q.verts.index(3)) == (1, (21, 42, 63, 84))
+def test_quotient_refuses_small_class():
+    # class 21 of Z_105 weighted 1 instead of 4 is a separator of classes 3
+    # and 5 smaller than delta = 2, which no zero-divisor graph has; the
+    # kappa >= delta certificate fails and the engine must raise rather
+    # than report an uncertified value
+    c = build_compressed(105)
+    planted = CompressedZdg(
+        105, tuple((d, 1 if d == 21 else size) for d, size in c.classes)
+    )
+    with pytest.raises(RuntimeError) as err:
+        quotient_report(planted)
+    assert str(err.value) == (
+        "n=105: smallest class 21 has size 1 < delta=2, "
+        "so kappa = delta is not certified"
+    )
 
 
 def test_quotient_check_survives_optimize(run_optimized):
-    # kappa < delta leaves kappa_e uncertified; that must raise under -O
+    # the smallest-class certificate must raise under -O as well
     proc = run_optimized(
         "import sys\n"
-        "from zdg import connectivity\n"
-        "from zdg.graphs import build_compressed\n"
-        "connectivity._class_vertex_cut = lambda q, root: (1, (35,))\n"
+        "from zdg.connectivity import quotient_report\n"
+        "from zdg.graphs import CompressedZdg, build_compressed\n"
+        "c = build_compressed(105)\n"
+        "sizes = tuple((d, 1 if d == 21 else k) for d, k in c.classes)\n"
         "try:\n"
-        "    connectivity.quotient_report(build_compressed(105))\n"
+        "    quotient_report(CompressedZdg(105, sizes))\n"
         "except RuntimeError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "1 n=105: kappa=1 < delta=2, so kappa_e is not certified\n"
+        "1 n=105: smallest class 21 has size 1 < delta=2, "
+        "so kappa = delta is not certified\n"
     )
+
+
+@pytest.mark.parametrize(
+    "dropped, stranded",
+    [
+        ((15,), 7),  # class 7's one neighbor is 15 = 105/7
+        ((35,), 3),  # class 3's one neighbor is the hub L = 105/3 = 35
+        ((15, 35), 3),
+    ],
+)
+def test_quotient_refuses_disconnected_classes(dropped, stranded):
+    c = build_compressed(105)
+    planted = CompressedZdg(
+        105, tuple((d, size) for d, size in c.classes if d not in dropped)
+    )
+    with pytest.raises(RuntimeError) as err:
+        quotient_report(planted)
+    assert str(err.value) == (
+        f"n=105: class {stranded} reaches class 35 neither directly nor "
+        f"through class {105 // stranded}, so connectedness is not certified"
+    )
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3**2 * 5**2 * 7**2 * 11 * 13 * 17 * 19 * 23,  # 862 classes, delta = 2
+        963761198400,  # 6718 classes, delta = 1
+        5**3 * 7**2 * 11 * 13 * 17 * 19,
+        997**3,  # delta = 996
+    ],
+)
+def test_quotient_report_is_linear_in_classes(n):
+    # the first two took seconds when the engine built class adjacency
+    # and ran flows
+    c = build_compressed(n)
+    t0 = time.perf_counter()
+    rep = quotient_report(c)
+    assert time.perf_counter() - t0 < 0.5
+    f = factorize(n)
+    assert (rep.delta, rep.kappa_e, rep.kappa) == (
+        predict_min_degree(f).value,
+        predict_edge_connectivity(f).value,
+        predict_vertex_connectivity(f).value,
+    )
+    vcut = rep.witness_vertex_cut
+    assert len(set(vcut)) == len(vcut) == rep.delta
+    assert all(0 < v < n and gcd(v, n) > 1 for v in vcut)
+    ecut = rep.witness_edge_cut
+    assert len(set(ecut)) == len(ecut) == rep.delta
+    assert all(u != w and u * w % n == 0 for u, w in ecut)
 
 
 def test_deterministic_output():

@@ -8,6 +8,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+import zdg.connectivity as connectivity
 import zdg.graphs as graphs
 import zdg.harness as harness
 from zdg.arith import factorize
@@ -133,6 +134,19 @@ def test_flow_oracle_builds_no_explicit_graph(monkeypatch):
 
     monkeypatch.setattr(graphs, "build_explicit", refuse)
     assert sweep(4, 200) == expected
+
+
+def test_analyze_runs_no_flow(monkeypatch):
+    # the quotient engine certifies kappa = delta from class sizes; the
+    # sha256 is that of the 4..2000 CSV produced while it still ran flows
+    def refuse(num_nodes):
+        raise AssertionError("a flow network was built")
+
+    monkeypatch.setattr(connectivity, "_FlowNet", refuse)
+    text = render_csv(sweep(4, 2000))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c4773acb3eb33c0f0905c99d34ed5d63c654c71545edfed00c606fea722f4974"
+    )
 
 
 def test_analyze_factorizes_once(monkeypatch):
