@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 
 from .errors import NoZeroDivisorsError, ResourceLimitError
-from .graphs import build_explicit, export_dot
+from .graphs import _dot_lines, build_explicit
 from .harness import analyze, audit, csv_row, render, sweep
 
 
@@ -67,23 +68,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write chunks as they come, to stdout or to the file at output."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _cmd_analyze(args) -> int:
     finding = analyze(args.n)
-    _emit(render([finding], args.format), args.output)
+    _emit([render([finding], args.format)], args.output)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     findings = sweep(args.start, args.stop, jobs=args.jobs)
-    _emit(render(findings, args.format), args.output)
+    _emit([render(findings, args.format)], args.output)
     return 0
 
 
@@ -91,13 +93,13 @@ def _cmd_audit(args) -> int:
     result = audit(args.start, args.stop, jobs=args.jobs)
     lines = [csv_row(r) for r in result.rows if r.skip_reason or not r.match]
     lines.append(result.summary())
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     return 2 if result.mismatches else 0
 
 
 def _cmd_export_dot(args) -> int:
     graph = build_explicit(args.n)
-    _emit(export_dot(graph, color_by_class=args.color_classes), args.output)
+    _emit(_dot_lines(graph, args.color_classes), args.output)
     return 0
 
 

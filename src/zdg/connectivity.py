@@ -16,12 +16,14 @@ kappa >= delta; the minimum-degree vertex's star gives kappa <= delta, and
 Whitney's chain kappa <= kappa_e <= delta closes kappa_e.
 
 The explicit engine (connectivity_report, vertex_connectivity,
-edge_connectivity) runs unit-capacity flows on the materialized graph and
-is the oracle the quotient engine is tested against.  Vertex connectivity
-is the Menger minimum over a sufficient pair family rooted at a
-minimum-degree vertex (its non-neighbors, plus non-adjacent pairs inside
-its neighborhood).  Edge connectivity is the minimum of s-t max-flows
-from a fixed minimum-degree source; targets are restricted to a
+edge_connectivity) runs unit-capacity flows, by shortest augmenting paths,
+on the materialized graph and is the oracle the quotient engine is tested
+against.  A flow that ends below its cutoff leaves its last, failed search
+as the witness: the source side of the minimum cut closest to the source.
+Vertex connectivity is the Menger minimum over a sufficient pair family
+rooted at a minimum-degree vertex (its non-neighbors, plus non-adjacent
+pairs inside its neighborhood).  Edge connectivity is the minimum of s-t
+max-flows from a fixed minimum-degree source; targets are restricted to a
 dominating set, which preserves exactness (a cut smaller than the
 minimum degree strands a dominated vertex on each side) while cutting
 the flow count by orders of magnitude.  Cheap certified bounds
@@ -39,7 +41,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ResourceLimitError
-from .graphs import CompressedZdg, class_members, degree_profile
+from .graphs import CompressedZdg, degree_profile
 
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
@@ -86,7 +88,8 @@ def min_degree(g) -> int:
 
 
 class _FlowNet:
-    """Dinic's algorithm on integer capacities with arc-level undo.
+    """Shortest augmenting paths (Edmonds & Karp, J. ACM 19, 1972) on
+    integer capacities, with arc-level undo.
 
     Arcs are stored flat; arc a and a^1 are mutual reverses.  max_flow
     pushes each path's bottleneck, capped so the flow never passes the
@@ -120,76 +123,47 @@ class _FlowNet:
             cap[a] = init[a]
             cap[a ^ 1] = init[a ^ 1]
 
-    def max_flow(self, s: int, t: int, cutoff: int, dirty: list[int]) -> int:
+    def max_flow(
+        self, s: int, t: int, cutoff: int, dirty: list[int]
+    ) -> tuple[int, dict[int, int]]:
+        """Flow from s to t, at most cutoff, and the nodes the last search
+        reached.
+
+        Each search is a breadth-first search over residual arcs that stops
+        once t is reached.  When the flow ends below cutoff, the last search
+        failed, and the nodes it reached are the source side of the minimum
+        cut closest to s, which is the same for every maximum flow.
+        """
         adj, to, cap = self.adj, self.to, self.cap
-        nn = len(adj)
         flow = 0
-        while flow < cutoff:
-            level = [-1] * nn
-            level[s] = 0
+        while True:
+            via = {s: -1}  # node -> residual arc that reached it
             queue = [s]
             for u in queue:
-                lu = level[u] + 1
                 for a in adj[u]:
                     if cap[a] > 0:
                         w = to[a]
-                        if level[w] < 0:
-                            level[w] = lu
+                        if w not in via:
+                            via[w] = a
                             queue.append(w)
-            if level[t] < 0:
-                break
-            it = [0] * nn
-            while flow < cutoff:
-                # one augmenting path inside the level graph
-                path: list[int] = []
-                u = s
-                found = False
-                while True:
-                    if u == t:
-                        found = True
-                        break
-                    moved = False
-                    au = adj[u]
-                    while it[u] < len(au):
-                        a = au[it[u]]
-                        w = to[a]
-                        if cap[a] > 0 and level[w] == level[u] + 1:
-                            path.append(a)
-                            u = w
-                            moved = True
-                            break
-                        it[u] += 1
-                    if moved:
-                        continue
-                    if u == s:
-                        break
-                    level[u] = -1  # dead end, prune for this phase
-                    a = path.pop()
-                    u = to[a ^ 1]
-                    it[u] += 1
-                if not found:
+                if t in via:
                     break
-                push = min(cutoff - flow, min(cap[a] for a in path))
-                for a in path:
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                    dirty.append(a)
-                flow += push
-        return flow
-
-    def residual_reachable(self, s: int) -> bytearray:
-        adj, to, cap = self.adj, self.to, self.cap
-        seen = bytearray(len(adj))
-        seen[s] = 1
-        queue = [s]
-        for u in queue:
-            for a in adj[u]:
-                if cap[a] > 0:
-                    w = to[a]
-                    if not seen[w]:
-                        seen[w] = 1
-                        queue.append(w)
-        return seen
+            else:
+                return flow, via
+            path = []
+            w = t
+            while w != s:
+                a = via[w]
+                path.append(a)
+                w = to[a ^ 1]
+            push = min(cutoff - flow, min(cap[a] for a in path))
+            for a in path:
+                cap[a] -= push
+                cap[a ^ 1] += push
+                dirty.append(a)
+            flow += push
+            if flow >= cutoff:
+                return flow, via
 
 
 def _min_degree_root(view: _View) -> int:
@@ -308,16 +282,15 @@ def _edge_cut(view: _View) -> tuple[int, tuple[tuple[int, int], ...]]:
     net.freeze()
     for ti in _dominating_set(view, si)[1:]:
         dirty: list[int] = []
-        flow = net.max_flow(si, ti, best, dirty)
+        flow, reached = net.max_flow(si, ti, best, dirty)
         if flow < best:
             best = flow
-            seen = net.residual_reachable(si)
             witness = tuple(
                 sorted(
                     _sorted_edge(view.verts[i], view.verts[j])
                     for i in range(nv)
                     for j in view.nbrs[i]
-                    if i < j and seen[i] != seen[j]
+                    if i < j and (i in reached) != (j in reached)
                 )
             )
         net.restore(dirty)
@@ -379,14 +352,13 @@ def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
                 if common >= best:
                     return  # that many disjoint 2-paths already
         dirty: list[int] = []
-        flow = net.max_flow(2 * a + 1, 2 * b, best, dirty)
+        flow, reached = net.max_flow(2 * a + 1, 2 * b, best, dirty)
         if flow < best:
             best = flow
-            seen = net.residual_reachable(2 * a + 1)
             witness = tuple(
                 view.verts[i]
                 for i in range(nv)
-                if seen[2 * i] and not seen[2 * i + 1]
+                if 2 * i in reached and 2 * i + 1 not in reached
             )
         net.restore(dirty)
 
@@ -580,9 +552,8 @@ def quotient_report(c: CompressedZdg) -> ConnectivityReport:
     num_vertices = c.num_vertices()
     star = tuple(v for v in range(n // root, n, n // root) if v != root)
     if delta == num_vertices - 1:  # complete: deleting all but one leaves K_1
-        vertex_cut = tuple(
-            sorted(v for d, _ in c.classes for v in class_members(n, d))
-        )[:delta]
+        # only n = p^2 (K_1 at n = 4): one class, the multiples of p = root
+        vertex_cut = tuple(range(root, n, root))[:delta]
     else:
         size, d = min((size, d) for d, size in c.classes)
         if size < delta:

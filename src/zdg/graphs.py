@@ -13,6 +13,7 @@ cost time linear in the number of divisors of n, for any n up to
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -192,22 +193,28 @@ def export_dot(g: ZeroDivisorGraph, color_by_class: bool = False) -> str:
     With color_by_class, vertices in the same divisor class share a fill
     color (HSV, spread over the class list).
     """
-    lines = [f"graph zdg_{g.n} {{"]
+    return "".join(_dot_lines(g, color_by_class))
+
+
+def _dot_lines(g: ZeroDivisorGraph, color_by_class: bool) -> Iterator[str]:
+    """export_dot's text in order, a vertex's lines at a time.
+
+    Each yield is whole lines: the header, one vertex statement, one
+    vertex's edges to larger neighbors, or the closing brace.  Batching
+    the edges by vertex keeps the number of writes near the number of
+    vertices when a caller streams them to an unbuffered stream.
+    """
+    yield f"graph zdg_{g.n} {{\n"
     if color_by_class:
         class_of = {v: gcd(v, g.n) for v in g.vertices}
         palette = sorted(set(class_of.values()))
         hues = {d: i / len(palette) for i, d in enumerate(palette)}
         for v in g.vertices:
             h = hues[class_of[v]]
-            lines.append(
-                f'  {v} [style=filled, fillcolor="{h:.3f} 0.450 0.950"];'
-            )
+            yield f'  {v} [style=filled, fillcolor="{h:.3f} 0.450 0.950"];\n'
     else:
         for v in g.vertices:
-            lines.append(f"  {v};")
+            yield f"  {v};\n"
     for u in g.vertices:
-        for w in g.adjacency[u]:
-            if u < w:
-                lines.append(f"  {u} -- {w};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join(f"  {u} -- {w};\n" for w in g.adjacency[u] if u < w)
+    yield "}\n"

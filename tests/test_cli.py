@@ -115,6 +115,15 @@ def test_export_dot_colored(capsys):
     assert out == export_dot(build_explicit(12), color_by_class=True)
 
 
+@pytest.mark.parametrize("color", [False, True])
+def test_export_dot_output_file(tmp_path, color):
+    path = tmp_path / "z27.dot"
+    argv = ["export-dot", "--n", "27", "--output", str(path)]
+    assert main(argv + ["--color-classes"] * color) == 0
+    expected = export_dot(build_explicit(27), color_by_class=color)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_export_dot_rejects_prime(capsys):
     assert main(["export-dot", "--n", "7"]) == 1
     assert "zdg: error:" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Connectivity: flow-based exact values, exhaustive cross-checks, witnesses."""
 from __future__ import annotations
 
+import hashlib
+import random
 import time
 from itertools import combinations
 from math import gcd
@@ -206,17 +208,29 @@ def test_flow_net_pushes_bottlenecks():
         net.add_pair(u, v, cap, 0)
     net.freeze()
     dirty: list[int] = []
-    assert net.max_flow(0, 5, 1 << 62, dirty) == 23
-    seen = net.residual_reachable(0)
-    assert [i for i in range(6) if seen[i]] == [0, 1, 2, 4]
-    assert sum(c for u, v, c in arcs if seen[u] and not seen[v]) == 23
+    flow, reached = net.max_flow(0, 5, 1 << 62, dirty)
+    assert flow == 23
+    assert sorted(reached) == [0, 1, 2, 4]
+    assert sum(c for u, v, c in arcs if u in reached and v not in reached) == 23
     net.restore(dirty)
     assert net.cap == net.init_cap
     for cutoff in (1, 10, 22):
         dirty = []
-        assert net.max_flow(0, 5, cutoff, dirty) == cutoff
+        assert net.max_flow(0, 5, cutoff, dirty)[0] == cutoff
         net.restore(dirty)
         assert net.cap == net.init_cap
+
+
+def test_flow_net_reaches_cut_closest_to_source():
+    # s -> a -> t has two minimum cuts, {s} | {a, t} and {s, a} | {t};
+    # witnesses are read from the one closest to s
+    net = _FlowNet(3)
+    net.add_pair(0, 1, 1, 0)
+    net.add_pair(1, 2, 1, 0)
+    net.freeze()
+    flow, reached = net.max_flow(0, 2, 1 << 62, [])
+    assert flow == 1
+    assert sorted(reached) == [0]
 
 
 def test_quotient_matches_explicit_to_1500():
@@ -367,6 +381,59 @@ def test_deterministic_output():
     g = build_explicit(105)
     assert vertex_connectivity(g) == vertex_connectivity(g)
     assert edge_connectivity(g) == edge_connectivity(g)
+
+
+def test_explicit_reports_pinned():
+    # witnesses included; zero-divisor graphs have kappa = delta, so no flow
+    # finds a cut here: each witness is a star or a complete graph's prefix
+    digest = hashlib.sha256()
+    for n in range(4, 401):
+        if factorize(n).is_composite():
+            digest.update(repr(connectivity_report(build_explicit(n))).encode())
+    assert digest.hexdigest() == (
+        "4cf20f779f418ede7613c5d2f9b7c7ccfc13fc4837471a44125c44a73ac1cdbb"
+    )
+
+
+def _two_block_graph(rng: random.Random) -> SimpleNamespace:
+    sizes = (rng.randint(4, 12), rng.randint(4, 12))
+    nv = sum(sizes)
+    blocks = (range(sizes[0]), range(sizes[0], nv))
+    adj: dict[int, set[int]] = {i: set() for i in range(nv)}
+    for block in blocks:
+        for i, j in combinations(block, 2):
+            if rng.random() < 0.85:
+                adj[i].add(j)
+                adj[j].add(i)
+    for _ in range(rng.randint(2, 6)):
+        i, j = rng.choice(blocks[0]), rng.choice(blocks[1])
+        adj[i].add(j)
+        adj[j].add(i)
+    return SimpleNamespace(
+        vertices=tuple(3 * i + 1 for i in range(nv)),
+        adjacency={
+            3 * i + 1: tuple(sorted(3 * j + 1 for j in adj[i])) for i in range(nv)
+        },
+    )
+
+
+def test_flow_cuts_pinned():
+    # two dense blocks joined by a few links: here the flows, not the
+    # shortcuts, find the cuts below delta, and their witnesses are pinned
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    edge_cuts = vertex_cuts = 0
+    for _ in range(300):
+        g = _two_block_graph(rng)
+        kappa_e, kappa = edge_connectivity(g), vertex_connectivity(g)
+        digest.update(repr((kappa_e, kappa)).encode())
+        delta = min_degree(g)
+        edge_cuts += kappa_e[0] < delta
+        vertex_cuts += 2 <= kappa[0] < delta  # below 2 needs no flow
+    assert (edge_cuts, vertex_cuts) == (118, 169)
+    assert digest.hexdigest() == (
+        "12d7d01cf46db42a4e26ddcd18b37920380673537ca4b6b18f573ea647de7052"
+    )
 
 
 # -- random graph fuzz against the independent brute force --
