@@ -9,9 +9,9 @@ second.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import gcd, isqrt
+from typing import NamedTuple
 
 _MAX_N = 2**63 - 1
 
@@ -39,8 +39,7 @@ _MR_BASES = _SMALL_PRIMES[:12]
 _RHO_BATCH = 128
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Prime factorization of n as ascending (prime, exponent) pairs."""
 
     n: int

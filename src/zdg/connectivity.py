@@ -36,9 +36,9 @@ independent cross-check at small sizes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import ResourceLimitError
 from .graphs import CompressedZdg, degree_profile
@@ -309,6 +309,21 @@ def vertex_connectivity(g) -> tuple[int, tuple[int, ...]]:
     return _vertex_cut(view) if _splittable(view) else (0, ())
 
 
+def _split_network(view: _View) -> _FlowNet:
+    """Vertex-split flow network: node 2i is i's in-side, 2i+1 its out-side."""
+    nv = len(view.verts)
+    net = _FlowNet(2 * nv)
+    for i in range(nv):
+        net.add_pair(2 * i, 2 * i + 1, 1, 0)
+    for i in range(nv):
+        for j in view.nbrs[i]:
+            if i < j:
+                net.add_pair(2 * i + 1, 2 * j, 1, 0)
+                net.add_pair(2 * j + 1, 2 * i, 1, 0)
+    net.freeze()
+    return net
+
+
 def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
     """Vertex connectivity of a connected view with two or more vertices."""
     nv = len(view.verts)
@@ -328,20 +343,11 @@ def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
     witness = tuple(view.verts[j] for j in view.nbrs[si])
     if best <= lower:
         return best, witness
-    # vertex-split flow network: node 2i is i's in-side, 2i+1 its out-side
-    net = _FlowNet(2 * nv)
-    for i in range(nv):
-        net.add_pair(2 * i, 2 * i + 1, 1, 0)
-    for i in range(nv):
-        for j in view.nbrs[i]:
-            if i < j:
-                net.add_pair(2 * i + 1, 2 * j, 1, 0)
-                net.add_pair(2 * j + 1, 2 * i, 1, 0)
-    net.freeze()
+    net = None  # built by the first flow the common-neighbor count allows
     nbr_sets = [set(a) for a in view.nbrs]
 
     def local_flow(a: int, b: int) -> None:
-        nonlocal best, witness
+        nonlocal best, witness, net
         sa, sb = nbr_sets[a], nbr_sets[b]
         if len(sa) > len(sb):
             sa, sb = sb, sa
@@ -351,6 +357,8 @@ def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
                 common += 1
                 if common >= best:
                     return  # that many disjoint 2-paths already
+        if net is None:
+            net = _split_network(view)
         dirty: list[int] = []
         flow, reached = net.max_flow(2 * a + 1, 2 * b, best, dirty)
         if flow < best:
@@ -457,8 +465,7 @@ def exhaustive_edge_connectivity(g, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
     raise AssertionError("edge connectivity must not exceed the minimum degree")
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     """All three connectivity quantities of one graph, with witnesses."""
 
     n: int

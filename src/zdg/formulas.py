@@ -8,14 +8,13 @@ the closed form that produced it, so audits can report which branch fired.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Factorization
 from .errors import NoZeroDivisorsError
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     n: int
     quantity: str
     value: int

@@ -14,8 +14,8 @@ cost time linear in the number of divisors of n, for any n up to
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import Factorization, factorize
 from .errors import NoZeroDivisorsError, ResourceLimitError
@@ -25,8 +25,7 @@ MAX_EXPLICIT_VERTICES = 200_000
 MAX_EXPLICIT_EDGES = 50_000_000
 
 
-@dataclass(frozen=True)
-class ZeroDivisorGraph:
+class ZeroDivisorGraph(NamedTuple):
     """Explicit zero-divisor graph: sorted vertices, sorted neighbor lists."""
 
     n: int
@@ -50,8 +49,7 @@ def _class_degree(n: int, d: int) -> int:
     return d - 1 - (d * d % n == 0)
 
 
-@dataclass(frozen=True)
-class CompressedZdg:
+class CompressedZdg(NamedTuple):
     """Divisor classes of the zero-divisor graph.
 
     classes holds (d, size) with size = totient(n/d) for every proper
@@ -72,8 +70,7 @@ class CompressedZdg:
         return sum(size * _class_degree(n, d) for d, size in self.classes) // 2
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Vertex degrees of the explicit graph, aggregated per divisor class."""
 
     n: int

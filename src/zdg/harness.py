@@ -4,15 +4,15 @@ A finding is one row of the audit table.  Each composite n is analysed on
 its divisor classes alone (connectivity.quotient_report); no explicit graph
 is built.  Rows for n with no zero-divisor graph (n prime, n <= 3) or past
 the explicit-graph size guard carry a skip reason and no values.  Rendering
-is deterministic so sweeps can be diffed byte-for-byte.
+is deterministic so sweeps can be diffed byte-for-byte.  The process pool
+is imported only when sweep runs with jobs > 1, so importing this module
+(and the CLI) does not load multiprocessing.
 """
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple
 
 from .arith import factorize, format_factorization
 from .connectivity import quotient_report
@@ -24,14 +24,8 @@ from .formulas import (
 )
 from .graphs import compress, explicit_size
 
-CSV_HEADER = (
-    "n,factorization,vertices,edges,delta,kappa_e,kappa,"
-    "pred_delta,pred_kappa_e,pred_kappa,tags,match,skip_reason"
-)
 
-
-@dataclass(frozen=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
     """One audited n: sizes, computed triple, predicted triple, verdict."""
 
     n: int
@@ -50,8 +44,7 @@ class AuditFinding:
 
 
 # Column order of the CSV and key order of the JSON: the field order.
-_FIELD_NAMES = tuple(f.name for f in fields(AuditFinding))
-_field_values = attrgetter(*_FIELD_NAMES)
+CSV_HEADER = ",".join(AuditFinding._fields)
 
 
 def analyze(n: int) -> AuditFinding:
@@ -113,13 +106,14 @@ def sweep(start: int, stop: int, *, jobs: int = 1) -> list[AuditFinding]:
     workers = min(jobs, os.cpu_count() or 1, len(values))
     if workers == 1:
         return [analyze(n) for n in values]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(values) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(analyze, values, chunksize=chunk))
 
 
-@dataclass(frozen=True)
-class AuditResult:
+class AuditResult(NamedTuple):
     rows: tuple[AuditFinding, ...]
     checked: int
     mismatches: tuple[AuditFinding, ...]
@@ -152,7 +146,7 @@ def _csv_cell(value) -> str:
 
 
 def csv_row(finding: AuditFinding) -> str:
-    return ",".join(map(_csv_cell, _field_values(finding)))
+    return ",".join(map(_csv_cell, finding))
 
 
 def render_csv(findings) -> str:
@@ -162,7 +156,7 @@ def render_csv(findings) -> str:
 
 
 def render_json(findings) -> str:
-    rows = [dict(zip(_FIELD_NAMES, _field_values(f))) for f in findings]
+    rows = [f._asdict() for f in findings]
     return json.dumps(rows, indent=2) + "\n"
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from zdg.cli import main
-from zdg.graphs import build_explicit, export_dot
-from zdg.harness import CSV_HEADER, render_csv, sweep
+from zdg.connectivity import quotient_report
+from zdg.graphs import build_compressed, build_explicit, export_dot
+from zdg.harness import CSV_HEADER, analyze, render_csv, sweep
 
 
 def test_analyze_csv(capsys):
@@ -191,3 +193,31 @@ def test_console_script(child_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.rstrip().endswith("0 mismatches")
+
+
+def test_import_loads_no_pool_or_dataclasses(child_env):
+    # every command pays for what importing the CLI loads; only sweep and
+    # audit with --jobs > 1 need the process pool
+    script = (
+        "import json, sys; before = set(sys.modules); import zdg.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "zdg.cli" in added
+    heavy = ("multiprocessing", "concurrent.futures", "dataclasses")
+    assert [m for m in added if m.startswith(heavy)] == []
+
+
+def test_results_survive_pickle():
+    # the --jobs pool sends each analyze result back to the parent pickled
+    for record in (analyze(25), quotient_report(build_compressed(12))):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert copy == record

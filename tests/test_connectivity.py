@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import zdg.connectivity as connectivity
 from zdg.arith import factorize
 from zdg.connectivity import (
     _FlowNet,
@@ -434,6 +435,20 @@ def test_flow_cuts_pinned():
     assert digest.hexdigest() == (
         "12d7d01cf46db42a4e26ddcd18b37920380673537ca4b6b18f573ea647de7052"
     )
+
+
+def test_vertex_cut_skips_network_when_no_flow_runs(monkeypatch):
+    # in these prime-power graphs the common-neighbor count rules out every
+    # flow, so the vertex-split network must never be built
+    graphs = [build_explicit(n) for n in (125, 343, 1331, 2401, 14641)]
+    expected = [vertex_connectivity(g) for g in graphs]
+    assert [kappa for kappa, _ in expected] == [4, 6, 10, 6, 10]
+
+    def refuse(num_nodes):
+        raise AssertionError("a flow network was built")
+
+    monkeypatch.setattr(connectivity, "_FlowNet", refuse)
+    assert [vertex_connectivity(g) for g in graphs] == expected
 
 
 # -- random graph fuzz against the independent brute force --

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import concurrent.futures
 import time
-from dataclasses import asdict, replace
 
 import pytest
 
@@ -214,7 +214,7 @@ def test_sweep_clamps_workers(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = sweep(4, 20)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     assert sweep(4, 20, jobs=100_000) == serial  # clamped to the cpu count
@@ -274,7 +274,7 @@ def test_render_csv_layout():
 def test_render_json_round_trip():
     rows = sweep(4, 16)
     parsed = json.loads(render_json(rows))
-    assert parsed == [asdict(r) for r in rows]
+    assert parsed == [r._asdict() for r in rows]
     assert [r["n"] for r in parsed] == list(range(4, 17))
 
 
@@ -299,9 +299,9 @@ def test_csv_and_json_carry_same_values():
 
 
 def test_finding_replace_keeps_schema():
-    # the CSV column order is the dataclass field order
-    row = replace(analyze(25), n=26)
-    assert list(asdict(row)) == CSV_HEADER.split(",")
+    # the CSV column order is the record's field order
+    row = analyze(25)._replace(n=26)
+    assert list(row._asdict()) == CSV_HEADER.split(",")
 
 
 def test_output_bytes_pinned():
