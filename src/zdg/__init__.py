@@ -5,8 +5,6 @@ from .connectivity import (
     ConnectivityReport,
     connectivity_report,
     edge_connectivity,
-    exhaustive_edge_connectivity,
-    exhaustive_vertex_connectivity,
     is_connected,
     min_degree,
     quotient_report,
@@ -54,8 +52,6 @@ __all__ = [
     "degree_profile",
     "divisors",
     "edge_connectivity",
-    "exhaustive_edge_connectivity",
-    "exhaustive_vertex_connectivity",
     "export_dot",
     "factorize",
     "format_factorization",

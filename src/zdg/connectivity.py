@@ -1,6 +1,6 @@
 """Exact connectivity of zero-divisor graphs.
 
-Three engines compute the same numbers.
+Two engines compute the same numbers.
 
 The quotient engine (quotient_report) is the one analyze, sweep and audit
 run.  It never builds the graph and runs no flow: it certifies kappa =
@@ -16,9 +16,9 @@ kappa >= delta; the minimum-degree vertex's star gives kappa <= delta, and
 Whitney's chain kappa <= kappa_e <= delta closes kappa_e.
 
 The explicit engine (connectivity_report, vertex_connectivity,
-edge_connectivity) runs unit-capacity flows, by shortest augmenting paths,
-on the materialized graph and is the oracle the quotient engine is tested
-against.  A flow that ends below its cutoff leaves its last, failed search
+edge_connectivity) runs flows with unit vertex or edge capacities, by
+shortest augmenting paths, on the materialized graph and is the oracle the
+quotient engine is tested against.  A flow that ends below its cutoff leaves its last, failed search
 as the witness: the source side of the minimum cut closest to the source.
 Vertex connectivity is the Menger minimum over a sufficient pair family
 rooted at a minimum-degree vertex (its non-neighbors, plus non-adjacent
@@ -30,22 +30,12 @@ the flow count by orders of magnitude.  Cheap certified bounds
 (connectedness, articulation points, common-neighbor counts)
 short-circuit flows whose value provably cannot lower the running
 minimum; the returned values are exactly the Menger minima either way.
-
-The exhaustive engine enumerates deletion subsets outright, as an
-independent cross-check at small sizes.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
-from .errors import ResourceLimitError
-from .graphs import CompressedZdg, degree_profile
-
-DEFAULT_SUBSET_BUDGET = 10_000_000
-
-_NO_CUTOFF = 1 << 62
+from .graphs import CompressedZdg, _class_degree
 
 
 class _View:
@@ -310,7 +300,11 @@ def vertex_connectivity(g) -> tuple[int, tuple[int, ...]]:
 
 
 def _split_network(view: _View) -> _FlowNet:
-    """Vertex-split flow network: node 2i is i's in-side, 2i+1 its out-side."""
+    """Vertex-split flow network: node 2i is i's in-side, 2i+1 its out-side.
+
+    Edge arcs get capacity nv, more than any cut, so a minimum cut crosses
+    only in-to-out arcs and names every vertex of the witness.
+    """
     nv = len(view.verts)
     net = _FlowNet(2 * nv)
     for i in range(nv):
@@ -318,8 +312,8 @@ def _split_network(view: _View) -> _FlowNet:
     for i in range(nv):
         for j in view.nbrs[i]:
             if i < j:
-                net.add_pair(2 * i + 1, 2 * j, 1, 0)
-                net.add_pair(2 * j + 1, 2 * i, 1, 0)
+                net.add_pair(2 * i + 1, 2 * j, nv, 0)
+                net.add_pair(2 * j + 1, 2 * i, nv, 0)
     net.freeze()
     return net
 
@@ -387,82 +381,6 @@ def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
             if y not in nbr_sets[x]:
                 local_flow(x, y)
     return best, witness
-
-
-def _subset_budget(universe: int, max_size: int, budget: int, what: str) -> None:
-    total = 0
-    for k in range(max_size + 1):
-        total += comb(universe, k)
-        if total > budget:
-            raise ResourceLimitError(
-                f"exhaustive {what} enumeration needs more than "
-                f"{budget} subsets"
-            )
-
-
-def exhaustive_vertex_connectivity(g, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
-    """Brute-force vertex connectivity by deleting subsets in size order.
-
-    Success means the remainder is disconnected or a single vertex.  The
-    enumeration is capped by the number of subsets up to the minimum
-    degree (the answer never exceeds it); past the budget this raises
-    ResourceLimitError rather than grind.
-    """
-    verts = list(g.vertices)
-    adj = {v: g.adjacency[v] for v in verts}
-    nv = len(verts)
-    if nv == 1:
-        return 0
-    delta = min(len(adj[v]) for v in verts)
-    _subset_budget(nv, delta, budget, "vertex-cut")
-    for k in range(delta + 1):
-        for cut in combinations(verts, k):
-            cut_set = set(cut)
-            keep = [v for v in verts if v not in cut_set]
-            if len(keep) == 1:
-                return k
-            seen = {keep[0]}
-            queue = [keep[0]]
-            for u in queue:
-                for w in adj[u]:
-                    if w not in cut_set and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != len(keep):
-                return k
-    raise AssertionError("connectivity must not exceed the minimum degree")
-
-
-def exhaustive_edge_connectivity(g, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
-    """Brute-force edge connectivity by deleting edge subsets in size order.
-
-    Success means the remainder is disconnected or has no edges left.
-    """
-    verts = list(g.vertices)
-    adj = {v: g.adjacency[v] for v in verts}
-    nv = len(verts)
-    if nv == 1:
-        return 0
-    edges = sorted(
-        (u, w) for u in verts for w in adj[u] if u < w
-    )
-    delta = min(len(adj[v]) for v in verts)
-    _subset_budget(len(edges), delta, budget, "edge-cut")
-    for k in range(delta + 1):
-        for cut in combinations(edges, k):
-            if k == len(edges):
-                return k  # nothing left, graph is edgeless
-            cut_set = set(cut)
-            seen = {verts[0]}
-            queue = [verts[0]]
-            for u in queue:
-                for w in adj[u]:
-                    if w not in seen and _sorted_edge(u, w) not in cut_set:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != nv:
-                return k
-    raise AssertionError("edge connectivity must not exceed the minimum degree")
 
 
 class ConnectivityReport(NamedTuple):
@@ -552,9 +470,7 @@ def quotient_report(c: CompressedZdg) -> ConnectivityReport:
     certificate fails.  Witness cuts are in residues.
     """
     n = c.n
-    class_degrees = degree_profile(c).class_degrees
-    root = min(class_degrees, key=class_degrees.get)  # first minimum
-    delta = class_degrees[root]
+    delta, root = min((_class_degree(n, d), d) for d, _ in c.classes)
     _certify_connected(c)
     num_vertices = c.num_vertices()
     star = tuple(v for v in range(n // root, n, n // root) if v != root)

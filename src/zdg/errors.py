@@ -6,4 +6,4 @@ class NoZeroDivisorsError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a computation would exceed a size or enumeration budget."""
+    """Raised when a computation would exceed a size limit."""

@@ -14,7 +14,7 @@ import json
 import os
 from typing import NamedTuple
 
-from .arith import factorize, format_factorization
+from .arith import _check_range, factorize, format_factorization
 from .connectivity import quotient_report
 from .errors import ResourceLimitError
 from .formulas import (
@@ -96,9 +96,12 @@ def sweep(start: int, stop: int, *, jobs: int = 1) -> list[AuditFinding]:
 
     With jobs > 1 the work is spread over a process pool of at most
     min(jobs, cpu count, range length) workers; results are emitted in
-    input order, so output is identical for any jobs value.
+    input order, so output is identical for any jobs value.  Both ends
+    must lie in [1, 2^63 - 1]; they are checked before any n is analysed.
     """
-    if start < 1 or stop < start:
+    _check_range(start)
+    _check_range(stop)
+    if stop < start:
         raise ValueError(f"need 1 <= start <= stop, got [{start}, {stop}]")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

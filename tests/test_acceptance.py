@@ -11,15 +11,12 @@ import sys
 import time
 
 from zdg.arith import factorize, totient
-from zdg.connectivity import (
-    edge_connectivity,
-    exhaustive_edge_connectivity,
-    exhaustive_vertex_connectivity,
-    vertex_connectivity,
-)
+from zdg.connectivity import edge_connectivity, vertex_connectivity
 from zdg.formulas import predict_min_degree, predict_vertex_connectivity, witness_cut
 from zdg.graphs import build_compressed, build_explicit, degree_profile
 from zdg.harness import analyze, audit, sweep
+
+from brute import _brute_kappa, _brute_kappa_e
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -118,13 +115,13 @@ def test_criterion_07_oracle_cross_validation():
     values = _composites(4, 60)
     for n in values:
         g = build_explicit(n)
-        if vertex_connectivity(g)[0] != exhaustive_vertex_connectivity(g):
+        if vertex_connectivity(g)[0] != _brute_kappa(g):
             bad.append(("kappa", n))
-        if edge_connectivity(g)[0] != exhaustive_edge_connectivity(g):
+        if edge_connectivity(g)[0] != _brute_kappa_e(g):
             bad.append(("kappa_e", n))
     elapsed = time.perf_counter() - t0
     ok = not bad and len(values) == 42 and elapsed < 60.0
-    _verdict(7, "flow equals exhaustive on 4..60", ok,
+    _verdict(7, "flow equals brute force on 4..60", ok,
              f"{len(values)} composites, {elapsed:.2f}s, offenders={bad}")
 
 

@@ -137,6 +137,11 @@ def test_usage_errors_exit_1(capsys):
     assert main(["analyze", "--n", "25", "--format", "xml"]) == 1
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+    for command in ("sweep", "audit"):  # past 64 bits: no traceback
+        assert main([command, "--from", "4", "--to", str(10**20)]) == 1
+        assert capsys.readouterr().err == (
+            f"zdg: error: n must be in [1, 2^63 - 1], got {10**20}\n"
+        )
 
 
 def test_unread_flags_are_usage_errors(capsys):

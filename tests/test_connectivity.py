@@ -1,4 +1,4 @@
-"""Connectivity: flow-based exact values, exhaustive cross-checks, witnesses."""
+"""Connectivity: flow-based exact values, brute-force cross-checks, witnesses."""
 from __future__ import annotations
 
 import hashlib
@@ -9,7 +9,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import zdg.connectivity as connectivity
@@ -18,20 +18,19 @@ from zdg.connectivity import (
     _FlowNet,
     connectivity_report,
     edge_connectivity,
-    exhaustive_edge_connectivity,
-    exhaustive_vertex_connectivity,
     is_connected,
     min_degree,
     quotient_report,
     vertex_connectivity,
 )
-from zdg.errors import ResourceLimitError
 from zdg.formulas import (
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
 )
 from zdg.graphs import CompressedZdg, build_compressed, build_explicit
+
+from brute import _alive_connected, _brute_kappa, _brute_kappa_e
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -42,51 +41,6 @@ PROPERTY_SETTINGS = settings(
 composite_mid = st.integers(min_value=4, max_value=300).filter(
     lambda n: factorize(n).is_composite()
 )
-
-
-# -- independent brute force, kept deliberately separate from the package --
-
-
-def _alive_connected(verts, adj, dead_verts=frozenset(), dead_edges=frozenset()):
-    alive = [v for v in verts if v not in dead_verts]
-    if len(alive) <= 1:
-        return True
-    seen = {alive[0]}
-    queue = [alive[0]]
-    for u in queue:
-        for w in adj[u]:
-            if w in dead_verts or w in seen:
-                continue
-            if ((u, w) if u < w else (w, u)) in dead_edges:
-                continue
-            seen.add(w)
-            queue.append(w)
-    return len(seen) == len(alive)
-
-
-def _brute_kappa(g) -> int:
-    verts = list(g.vertices)
-    if len(verts) == 1:
-        return 0
-    for k in range(len(verts)):
-        for cut in combinations(verts, k):
-            if len(verts) - k == 1:
-                return k
-            if not _alive_connected(verts, g.adjacency, frozenset(cut)):
-                return k
-    raise AssertionError("unreachable")
-
-
-def _brute_kappa_e(g) -> int:
-    verts = list(g.vertices)
-    if len(verts) == 1:
-        return 0
-    edges = sorted((u, w) for u in verts for w in g.adjacency[u] if u < w)
-    for k in range(len(edges) + 1):
-        for cut in combinations(edges, k):
-            if not _alive_connected(verts, g.adjacency, frozenset(), frozenset(cut)):
-                return k
-    raise AssertionError("unreachable")
 
 
 @st.composite
@@ -148,21 +102,14 @@ def test_edge_connectivity_known_values():
 
 
 def test_exhaustive_known_values():
-    assert exhaustive_vertex_connectivity(build_explicit(8)) == 1
-    assert exhaustive_vertex_connectivity(build_explicit(9)) == 1
-    assert exhaustive_vertex_connectivity(build_explicit(25)) == 3
-    assert exhaustive_vertex_connectivity(build_explicit(30)) == 1
-    assert exhaustive_edge_connectivity(build_explicit(8)) == 1
-    assert exhaustive_edge_connectivity(build_explicit(25)) == 3
-    assert exhaustive_edge_connectivity(build_explicit(27)) == 2
-
-
-def test_exhaustive_budget_guard():
-    with pytest.raises(ResourceLimitError):
-        exhaustive_vertex_connectivity(build_explicit(30), budget=10)
-    # 10^7 default budget refuses K_{10,6}: sum_{k<=6} C(60,k) > 5*10^7
-    with pytest.raises(ResourceLimitError):
-        exhaustive_edge_connectivity(build_explicit(77))
+    # the brute-force reference itself, on values known by hand
+    assert _brute_kappa(build_explicit(8)) == 1
+    assert _brute_kappa(build_explicit(9)) == 1
+    assert _brute_kappa(build_explicit(25)) == 3
+    assert _brute_kappa(build_explicit(30)) == 1
+    assert _brute_kappa_e(build_explicit(8)) == 1
+    assert _brute_kappa_e(build_explicit(25)) == 3
+    assert _brute_kappa_e(build_explicit(27)) == 2
 
 
 def test_connectivity_report_z12():
@@ -263,7 +210,7 @@ def test_quotient_matches_explicit_to_1500():
 
 def test_explicit_matches_networkx_61_to_150():
     # a third, independent oracle for the explicit engine past the
-    # exhaustive cross-check of acceptance criterion 7 (4..60)
+    # brute-force cross-check of acceptance criterion 7 (4..60)
     nx = pytest.importorskip("networkx")
     for n in range(61, 151):
         if not factorize(n).is_composite():
@@ -421,6 +368,7 @@ def _two_block_graph(rng: random.Random) -> SimpleNamespace:
 def test_flow_cuts_pinned():
     # two dense blocks joined by a few links: here the flows, not the
     # shortcuts, find the cuts below delta, and their witnesses are pinned
+    # after each one is replayed
     rng = random.Random(7)
     digest = hashlib.sha256()
     edge_cuts = vertex_cuts = 0
@@ -428,12 +376,19 @@ def test_flow_cuts_pinned():
         g = _two_block_graph(rng)
         kappa_e, kappa = edge_connectivity(g), vertex_connectivity(g)
         digest.update(repr((kappa_e, kappa)).encode())
+        verts = list(g.vertices)
+        assert len(set(kappa[1])) == kappa[0], kappa
+        assert not _alive_connected(verts, g.adjacency, frozenset(kappa[1]))
+        assert len(set(kappa_e[1])) == kappa_e[0], kappa_e
+        assert not _alive_connected(
+            verts, g.adjacency, frozenset(), frozenset(kappa_e[1])
+        )
         delta = min_degree(g)
         edge_cuts += kappa_e[0] < delta
         vertex_cuts += 2 <= kappa[0] < delta  # below 2 needs no flow
     assert (edge_cuts, vertex_cuts) == (118, 169)
     assert digest.hexdigest() == (
-        "12d7d01cf46db42a4e26ddcd18b37920380673537ca4b6b18f573ea647de7052"
+        "8df81a661c84aeb8b1ae10844673177841f461a985b19b457faf3537668f9170"
     )
 
 
@@ -454,8 +409,26 @@ def test_vertex_cut_skips_network_when_no_flow_runs(monkeypatch):
 # -- random graph fuzz against the independent brute force --
 
 
+# the minimum cut closest to 10 deletes 30 and 40; its flow also fills the
+# edge 10-30, and the witness must name 30 rather than drop it for that edge
+_SATURATED_SOURCE_EDGE = {
+    10: (20, 30, 70),
+    20: (10, 40, 70),
+    30: (10, 50, 60),
+    40: (20, 50, 60, 70),
+    50: (30, 40, 60),
+    60: (30, 40, 50),
+    70: (10, 20, 40),
+}
+
+
 @PROPERTY_SETTINGS
 @given(small_graphs())
+@example(
+    SimpleNamespace(
+        vertices=tuple(_SATURATED_SOURCE_EDGE), adjacency=_SATURATED_SOURCE_EDGE
+    )
+)
 def test_vertex_connectivity_matches_brute_force(g):
     expected = _brute_kappa(g)
     value, cut = vertex_connectivity(g)
@@ -482,17 +455,6 @@ def test_edge_connectivity_matches_brute_force(g):
         assert not _alive_connected(
             list(g.vertices), g.adjacency, frozenset(), frozenset(cut)
         )
-
-
-@PROPERTY_SETTINGS
-@given(small_graphs())
-def test_exhaustive_matches_flow_on_random_graphs(g):
-    if len(g.vertices) > 1 and not is_connected(g):
-        assert exhaustive_vertex_connectivity(g) == 0
-        assert exhaustive_edge_connectivity(g) == 0
-        return
-    assert exhaustive_vertex_connectivity(g) == vertex_connectivity(g)[0]
-    assert exhaustive_edge_connectivity(g) == edge_connectivity(g)[0]
 
 
 # -- structural properties on zero-divisor graphs --

@@ -181,13 +181,23 @@ def test_sweep_range_and_order():
     assert all(r.match for r in checked)
 
 
-def test_sweep_input_validation():
+def test_sweep_input_validation(monkeypatch):
     with pytest.raises(ValueError):
         sweep(0, 5)
     with pytest.raises(ValueError):
         sweep(5, 4)
     with pytest.raises(ValueError):
         sweep(4, 10, jobs=0)
+    with pytest.raises(ValueError, match=r"\[1, 2\^63 - 1\], got 10{20}$"):
+        sweep(4, 10**20)  # too long for len(range)
+
+    def refuse(n):
+        raise AssertionError(f"analyze({n}) called")
+
+    # 2^63 fits len(range) but not factorize: refuse before the first n
+    monkeypatch.setattr(harness, "analyze", refuse)
+    with pytest.raises(ValueError, match=r"got 9223372036854775808$"):
+        sweep(4, 2**63)
 
 
 def test_sweep_jobs_deterministic():
