@@ -13,6 +13,7 @@ from .connectivity import (
 from .errors import NoZeroDivisorsError, ResourceLimitError
 from .formulas import (
     Prediction,
+    predict,
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
@@ -57,6 +58,7 @@ __all__ = [
     "format_factorization",
     "is_connected",
     "min_degree",
+    "predict",
     "predict_edge_connectivity",
     "predict_min_degree",
     "predict_vertex_connectivity",

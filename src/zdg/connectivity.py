@@ -427,68 +427,63 @@ def connectivity_report(g) -> ConnectivityReport:
     )
 
 
-def _certify_connected(c: CompressedZdg) -> None:
-    """Raise RuntimeError unless the class graph is connected.
+def quotient_report(c: CompressedZdg) -> ConnectivityReport:
+    """connectivity_report from the divisor classes, with no explicit graph.
 
-    The hub is the class L = n/p of the smallest prime p (the smallest
-    class d is p itself).  Classes d and e are adjacent when n | d*e, so a
-    class d != L is joined to L directly when n | d*L, and otherwise
-    through the class n/d, adjacent to d since d * (n/d) = n.  That needs
-    O(classes) set lookups and no adjacency.
+    One pass over the classes; no flow runs and no class adjacency is
+    built.  Each class is a module: its members are twins, and it is an
+    independent set or a clique (Anderson & Livingston, J. Algebra 217,
+    1999).  A minimum separator of non-adjacent u and v is therefore their
+    shared neighborhood (u, v in one class, size >= delta) or a nonempty
+    union of whole classes (size >= the smallest class).  So once the class
+    graph is certified connected and no class is smaller than delta,
+    kappa >= delta, and the minimum-degree vertex's star gives
+    kappa <= delta.  kappa_e = delta then follows from Whitney's chain
+    kappa <= kappa_e <= delta, with the star's edges as witness.  A
+    complete graph (n = p^2, or K_1 for n = 4) has kappa = delta = m - 1
+    on m vertices.  Raises RuntimeError when either certificate fails.
+    Witness cuts are in residues.
+
+    Connectedness goes through the hub L = n/p, p the smallest class.
+    Classes d and e are adjacent when n | d*e, so a class d != L is joined
+    to L directly when n | d*L, and otherwise through the class n/d.
     """
     n = c.n
     present = {d for d, _ in c.classes}
     hub = n // c.classes[0][0]
-    for d, _ in c.classes:
-        if d == hub:
-            continue
-        if hub in present and (
-            d * hub % n == 0 or n // d in present and n // d * hub % n == 0
+    num_vertices = ends = 0
+    delta = smallest = n  # above every degree and class size
+    for d, size in c.classes:  # ascending, so ties keep the smallest d
+        degree = _class_degree(n, d)
+        num_vertices += size
+        ends += size * degree
+        if degree < delta:
+            delta, root = degree, d
+        if size < smallest:
+            smallest, small_class = size, d
+        if d != hub and not (
+            hub in present
+            and (d * hub % n == 0 or n // d in present and n // d * hub % n == 0)
         ):
-            continue
-        raise RuntimeError(
-            f"n={n}: class {d} reaches class {hub} neither directly nor "
-            f"through class {n // d}, so connectedness is not certified"
-        )
-
-
-def quotient_report(c: CompressedZdg) -> ConnectivityReport:
-    """connectivity_report from the divisor classes, with no explicit graph.
-
-    All the work is linear in the number of classes; no flow runs and no
-    class adjacency is built.  Each class is a module: its members are
-    twins, and it is an independent set or a clique (Anderson & Livingston,
-    J. Algebra 217, 1999).  A minimum separator of non-adjacent u and v is
-    therefore their shared neighborhood (u, v in one class, size >= delta)
-    or a nonempty union of whole classes (size >= the smallest class).  So
-    once the class graph is certified connected (_certify_connected) and no
-    class is smaller than delta, kappa >= delta, and the minimum-degree
-    vertex's star gives kappa <= delta.  kappa_e = delta then follows from
-    Whitney's chain kappa <= kappa_e <= delta, with the star's edges as
-    witness.  A complete graph (n = p^2, or K_1 for n = 4) has
-    kappa = delta = m - 1 on m vertices.  Raises RuntimeError when either
-    certificate fails.  Witness cuts are in residues.
-    """
-    n = c.n
-    delta, root = min((_class_degree(n, d), d) for d, _ in c.classes)
-    _certify_connected(c)
-    num_vertices = c.num_vertices()
+            raise RuntimeError(
+                f"n={n}: class {d} reaches class {hub} neither directly nor "
+                f"through class {n // d}, so connectedness is not certified"
+            )
     star = tuple(v for v in range(n // root, n, n // root) if v != root)
     if delta == num_vertices - 1:  # complete: deleting all but one leaves K_1
         # only n = p^2 (K_1 at n = 4): one class, the multiples of p = root
         vertex_cut = tuple(range(root, n, root))[:delta]
+    elif smallest < delta:
+        raise RuntimeError(
+            f"n={n}: smallest class {small_class} has size {smallest} < "
+            f"delta={delta}, so kappa = delta is not certified"
+        )
     else:
-        size, d = min((size, d) for d, size in c.classes)
-        if size < delta:
-            raise RuntimeError(
-                f"n={n}: smallest class {d} has size {size} < delta={delta}, "
-                "so kappa = delta is not certified"
-            )
         vertex_cut = star
     return ConnectivityReport(
         n=n,
         num_vertices=num_vertices,
-        num_edges=c.num_edges(),
+        num_edges=ends // 2,
         delta=delta,
         kappa_e=delta,
         kappa=delta,

@@ -28,43 +28,41 @@ def _require_composite(f: Factorization) -> None:
         )
 
 
-def _branch(f: Factorization) -> tuple[int, str, str, str]:
-    """Common branch logic: value plus the vertex/edge/degree tag triple.
+def predict(f: Factorization) -> tuple[int, tuple[str, str, str]]:
+    """The common value of delta, kappa_e and kappa, and the tags of the
+    closed forms that give each, in that order.
 
     The prime-square case takes precedence over the multi-branch general
     form; applying the general minimum-over-primes rule to p^2 would
     overshoot by one, since the graph there is complete.
     """
+    _require_composite(f)
     factors = f.factors
     if len(factors) == 1:
         p, a = factors[0]
         if a == 2:
-            return p - 2, "T3.1", "T4.1", "T4.5"
-        return p - 1, "T3.2-3.3", "T4.2", "T4.5"
-    value = min(p for p, _ in factors) - 1
+            return p - 2, ("T4.5", "T4.1", "T3.1")
+        return p - 1, ("T4.5", "T4.2", "T3.2-3.3")
     vertex_tag = "T3.4" if len(factors) == 2 else "T3.5"
-    return value, vertex_tag, "T4.3", "T4.5"
+    return factors[0][0] - 1, ("T4.5", "T4.3", vertex_tag)  # smallest prime
 
 
 def predict_vertex_connectivity(f: Factorization) -> Prediction:
     """Vertex connectivity: p - 2 for n = p^2, else min prime minus one."""
-    _require_composite(f)
-    value, tag, _, _ = _branch(f)
-    return Prediction(f.n, "vertex_connectivity", value, tag)
+    value, tags = predict(f)
+    return Prediction(f.n, "vertex_connectivity", value, tags[2])
 
 
 def predict_edge_connectivity(f: Factorization) -> Prediction:
     """Edge connectivity: always equal to the vertex-connectivity value."""
-    _require_composite(f)
-    value, _, tag, _ = _branch(f)
-    return Prediction(f.n, "edge_connectivity", value, tag)
+    value, tags = predict(f)
+    return Prediction(f.n, "edge_connectivity", value, tags[1])
 
 
 def predict_min_degree(f: Factorization) -> Prediction:
     """Minimum degree: equal to the edge-connectivity value."""
-    _require_composite(f)
-    value, _, _, tag = _branch(f)
-    return Prediction(f.n, "min_degree", value, tag)
+    value, tags = predict(f)
+    return Prediction(f.n, "min_degree", value, tags[0])
 
 
 def witness_cut(f: Factorization) -> tuple[int, ...]:

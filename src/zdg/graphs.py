@@ -9,7 +9,8 @@ of n/d other than x itself.  So every class-d vertex has degree
 d - 1 - [n | d^2], and its neighbors are range(n/d, n, n/d) without x.
 Sizes and degrees therefore come from the factorization of n alone and
 cost time linear in the number of divisors of n, for any n up to
-2^63 - 1, without touching individual residues.
+2^63 - 1, without touching individual residues.  The graph's size takes
+O(primes) (graph_size), so the explicit-graph guard builds no class.
 """
 from __future__ import annotations
 
@@ -131,24 +132,39 @@ def class_members(n: int, d: int) -> list[int]:
     return [v for v in range(d, n, d) if gcd(v // d, n // d) == 1]
 
 
-def explicit_size(c: CompressedZdg) -> tuple[int, int]:
+def graph_size(f: Factorization) -> tuple[int, int]:
+    """Vertex and edge count of Z_n's zero-divisor graph, from n's primes.
+
+    Vertices are the n - 1 - phi(n) nonzero non-units.  Edges are
+    (T - 2n - S + 2) / 2: of the T = prod((a+1) p^a - a p^(a-1)) ordered
+    pairs with xy = 0, drop the 2n - 1 with a zero entry and the S - 1
+    nonzero x with x^2 = 0, S = prod(p^(a//2)); each edge is left twice.
+    """
+    phi = pairs = squares = 1
+    for p, a in f.factors:
+        phi *= (p - 1) * p ** (a - 1)
+        pairs *= (a + 1) * p**a - a * p ** (a - 1)
+        squares *= p ** (a // 2)
+    return f.n - 1 - phi, (pairs - 2 * f.n - squares + 2) // 2
+
+
+def explicit_size(f: Factorization) -> tuple[int, int]:
     """Vertex and edge count of the explicit graph, if it may be built.
 
     Raises ResourceLimitError when the graph would exceed
     MAX_EXPLICIT_VERTICES vertices or MAX_EXPLICIT_EDGES edges.  This is
     the one guard that decides which n are refused, whether or not the
-    graph is then materialized.
+    graph is then materialized; it costs O(primes) and builds no class.
     """
-    num_vertices = c.num_vertices()
+    num_vertices, num_edges = graph_size(f)
     if num_vertices > MAX_EXPLICIT_VERTICES:
         raise ResourceLimitError(
-            f"n={c.n}: {num_vertices} vertices exceed the explicit-graph limit "
+            f"n={f.n}: {num_vertices} vertices exceed the explicit-graph limit "
             f"of {MAX_EXPLICIT_VERTICES}"
         )
-    num_edges = c.num_edges()
     if num_edges > MAX_EXPLICIT_EDGES:
         raise ResourceLimitError(
-            f"n={c.n}: {num_edges} edges exceed the explicit-graph limit "
+            f"n={f.n}: {num_edges} edges exceed the explicit-graph limit "
             f"of {MAX_EXPLICIT_EDGES}"
         )
     return num_vertices, num_edges
@@ -158,12 +174,14 @@ def build_explicit(n: int) -> ZeroDivisorGraph:
     """Materialize the zero-divisor graph of Z_n.
 
     Refuses (ResourceLimitError) past the explicit_size guard, which is
-    computed from the compressed form before any allocation.  Members
-    of a class share one neighbor tuple, except those that are multiples
-    of n/d, which get it with themselves removed.
+    computed from the factorization before any allocation.  Members of a
+    class share one neighbor tuple, except those that are multiples of
+    n/d, which get it with themselves removed.  The adjacency's edge ends
+    are checked against the closed-form count.
     """
-    c = build_compressed(n)
-    num_vertices, num_edges = explicit_size(c)
+    f = factorize(n)
+    _, num_edges = explicit_size(f)
+    c = compress(f)
 
     adjacency: dict[int, tuple[int, ...]] = {}
     for d, _ in c.classes:

@@ -3,10 +3,12 @@
 A finding is one row of the audit table.  Each composite n is analysed on
 its divisor classes alone (connectivity.quotient_report); no explicit graph
 is built.  Rows for n with no zero-divisor graph (n prime, n <= 3) or past
-the explicit-graph size guard carry a skip reason and no values.  Rendering
-is deterministic so sweeps can be diffed byte-for-byte.  The process pool
-is imported only when sweep runs with jobs > 1, so importing this module
-(and the CLI) does not load multiprocessing.
+the explicit-graph size guard carry a skip reason and no values.  The
+guard takes its counts from the factorization (graphs.graph_size), so a
+refused n builds no class; an answered n checks them against the class
+sums.  Rendering is deterministic so sweeps can be diffed byte-for-byte.
+The process pool is imported only when sweep runs with jobs > 1, so
+importing this module (and the CLI) does not load multiprocessing.
 """
 from __future__ import annotations
 
@@ -17,11 +19,7 @@ from typing import NamedTuple
 from .arith import _check_range, factorize, format_factorization
 from .connectivity import quotient_report
 from .errors import ResourceLimitError
-from .formulas import (
-    predict_edge_connectivity,
-    predict_min_degree,
-    predict_vertex_connectivity,
-)
+from .formulas import predict
 from .graphs import compress, explicit_size
 
 
@@ -51,30 +49,27 @@ def analyze(n: int) -> AuditFinding:
     """Audit one n: compute delta, kappa_e and kappa on the divisor classes.
 
     The values come from quotient_report on the classes of the one
-    factorization of n; n past the explicit_size guard is a ResourceLimit
-    row, so the same n are refused as by build_explicit.
+    factorization of n.  The explicit_size guard runs first, on the
+    factorization alone, so the same n are refused as by build_explicit
+    and a refused n builds no class.  Raises RuntimeError naming n if the
+    guard's closed-form counts differ from the classes' sums.
     """
     f = factorize(n)  # validates the 64-bit range
     ftext = format_factorization(f)
     if not f.is_composite():
         return AuditFinding(n, ftext, skip_reason="NoZeroDivisors")
-    c = compress(f)
     try:
-        num_vertices, num_edges = explicit_size(c)
+        num_vertices, num_edges = explicit_size(f)
     except ResourceLimitError:
         return AuditFinding(n, ftext, skip_reason="ResourceLimit")
-    rep = quotient_report(c)
-    pred_d = predict_min_degree(f)
-    pred_e = predict_edge_connectivity(f)
-    pred_v = predict_vertex_connectivity(f)
-    tags = ";".join(
-        (pred_d.theorem_tag, pred_e.theorem_tag, pred_v.theorem_tag)
-    )
-    match = (
-        rep.delta == pred_d.value
-        and rep.kappa_e == pred_e.value
-        and rep.kappa == pred_v.value
-    )
+    rep = quotient_report(compress(f))
+    if (rep.num_vertices, rep.num_edges) != (num_vertices, num_edges):
+        raise RuntimeError(
+            f"n={n}: closed form gives {num_vertices} vertices and "
+            f"{num_edges} edges, class sums give {rep.num_vertices} and "
+            f"{rep.num_edges}"
+        )
+    value, tags = predict(f)
     return AuditFinding(
         n=n,
         factorization=ftext,
@@ -83,11 +78,11 @@ def analyze(n: int) -> AuditFinding:
         delta=rep.delta,
         kappa_e=rep.kappa_e,
         kappa=rep.kappa,
-        pred_delta=pred_d.value,
-        pred_kappa_e=pred_e.value,
-        pred_kappa=pred_v.value,
-        tags=tags,
-        match=match,
+        pred_delta=value,
+        pred_kappa_e=value,
+        pred_kappa=value,
+        tags=";".join(tags),
+        match=rep.delta == rep.kappa_e == rep.kappa == value,
     )
 
 

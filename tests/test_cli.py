@@ -58,7 +58,7 @@ def test_analyze_rejects_bad_n(capsys):
     assert err.startswith("zdg: error:")
 
 
-def test_analyze_exhaustive_oracle(capsys):
+def test_analyze_row_z27(capsys):
     assert main(["analyze", "--n", "27"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
     assert line.startswith("27,3^3,8,13,2,2,2,")

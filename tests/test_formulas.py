@@ -12,6 +12,7 @@ from zdg.connectivity import connectivity_report
 from zdg.errors import NoZeroDivisorsError
 from zdg.formulas import (
     Prediction,
+    predict,
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
@@ -71,9 +72,30 @@ def test_min_degree_predictions():
         assert pred.theorem_tag == "T4.5"
 
 
+def test_predict_gives_value_and_tag_triple():
+    # one call per row: the common value and the delta, kappa_e, kappa tags
+    for n, tags in (
+        (25, ("T4.5", "T4.1", "T3.1")),
+        (27, ("T4.5", "T4.2", "T3.2-3.3")),
+        (12, ("T4.5", "T4.3", "T3.4")),
+        (105, ("T4.5", "T4.3", "T3.5")),
+    ):
+        f = factorize(n)
+        preds = (
+            predict_min_degree(f),
+            predict_edge_connectivity(f),
+            predict_vertex_connectivity(f),
+        )
+        assert predict(f) == (preds[0].value, tags)
+        assert {p.value for p in preds} == {preds[0].value}
+        assert tuple(p.theorem_tag for p in preds) == tags
+
+
 def test_non_composite_rejected():
     for n in (1, 2, 3, 7, 97):
         f = factorize(n)
+        with pytest.raises(NoZeroDivisorsError):
+            predict(f)
         with pytest.raises(NoZeroDivisorsError):
             predict_vertex_connectivity(f)
         with pytest.raises(NoZeroDivisorsError):

@@ -13,8 +13,10 @@ from zdg.graphs import (
     build_compressed,
     build_explicit,
     class_members,
+    compress,
     degree_profile,
     export_dot,
+    graph_size,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -85,7 +87,7 @@ def test_edge_sum_check_survives_optimize(run_optimized):
     proc = run_optimized(
         "import sys\n"
         "from zdg import graphs\n"
-        "graphs.CompressedZdg.num_edges = lambda self: 5\n"
+        "graphs.graph_size = lambda f: (3, 5)\n"
         "try:\n"
         "    graphs.build_explicit(8)\n"
         "except RuntimeError as err:\n"
@@ -93,6 +95,37 @@ def test_edge_sum_check_survives_optimize(run_optimized):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 n=8: adjacency lists hold 4 edge ends, expected 10\n"
+
+
+def test_graph_size_matches_class_sums_to_60000():
+    # the closed form against the classes' own vertex and edge sums
+    for n in range(4, 60001):
+        f = factorize(n)
+        if f.is_composite():
+            c = compress(f)
+            assert graph_size(f) == (c.num_vertices(), c.num_edges()), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        963761198400,  # 6718 classes
+        897612484786617600,  # 103678 classes
+        997**3,
+        2**62,
+        3037000493**2,
+        3037000453 * 3037000493,
+        10007**2,
+        2 * 199999,  # the guard boundaries of test_harness
+        2 * 200003,
+        7001 * 7129,
+        7001 * 7151,
+    ],
+)
+def test_graph_size_matches_class_sums_big_n(n):
+    f = factorize(n)
+    c = compress(f)
+    assert graph_size(f) == (c.num_vertices(), c.num_edges())
 
 
 def test_compressed_z27():

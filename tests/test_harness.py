@@ -13,7 +13,6 @@ import zdg.graphs as graphs
 import zdg.harness as harness
 from zdg.arith import factorize
 from zdg.errors import ResourceLimitError
-from zdg.formulas import Prediction
 from zdg.harness import (
     CSV_HEADER,
     AuditFinding,
@@ -124,6 +123,57 @@ def test_resource_limit_is_the_explicit_guard(n, vertices, edges):
     assert (row.skip_reason == "ResourceLimit") == refused
     if not refused:
         assert (row.vertices, row.edges) == (vertices, edges)
+
+
+def test_refused_rows_pinned():
+    # sha256 of these rows' CSV while the guard still summed the classes;
+    # moving it ahead of compress must keep every row's bytes
+    ns = [
+        735134400,
+        6983776800,
+        73513440000,
+        321253732800,
+        963761198400,
+        997**3,
+        10**6,
+        2 * 199999,
+        2 * 200003,
+        7001 * 7129,
+        7001 * 7151,
+    ]
+    text = render_csv([analyze(n) for n in ns])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f5eb98ce01a130686cac154b6c2641606575d9f73471785e881bf7065f6a9a1b"
+    )
+
+
+def test_refused_analyze_builds_no_classes(monkeypatch):
+    def refuse(f):
+        raise AssertionError(f"compress({f.n}) called")
+
+    monkeypatch.setattr(harness, "compress", refuse)
+    for n in (10**6, 963761198400):
+        assert analyze(n).skip_reason == "ResourceLimit"
+
+
+def test_size_cross_check_survives_optimize(run_optimized):
+    # a closed form one edge off must fail analyze even where asserts are
+    # stripped, since the class sums disagree with it
+    proc = run_optimized(
+        "import sys\n"
+        "from zdg import graphs, harness\n"
+        "size = graphs.graph_size\n"
+        "graphs.graph_size = lambda f: (size(f)[0], size(f)[1] + 1)\n"
+        "try:\n"
+        "    harness.analyze(12)\n"
+        "except RuntimeError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "1 n=12: closed form gives 7 vertices and 9 edges, "
+        "class sums give 7 and 8\n"
+    )
 
 
 def test_flow_oracle_builds_no_explicit_graph(monkeypatch):
@@ -253,9 +303,9 @@ def test_audit_range_4_100():
 
 def test_audit_flags_planted_mismatch(monkeypatch):
     def wrong(f):
-        return Prediction(f.n, "vertex_connectivity", 99, "T0.0")
+        return 99, ("T0.0", "T0.0", "T0.0")
 
-    monkeypatch.setattr(harness, "predict_vertex_connectivity", wrong)
+    monkeypatch.setattr(harness, "predict", wrong)
     result = audit(4, 12)
     assert len(result.mismatches) == result.checked > 0
     assert result.summary().endswith(f"{len(result.mismatches)} mismatches")
