@@ -1,11 +1,10 @@
 """Zero-divisor graphs of Z_n: construction, exact connectivity, predictions."""
 
-from .arith import Factorization, divisors, factorize, format_factorization, totient
+from .arith import Factorization, factorize, format_factorization
 from .connectivity import (
     ConnectivityReport,
     connectivity_report,
     edge_connectivity,
-    is_connected,
     min_degree,
     quotient_report,
     vertex_connectivity,
@@ -51,12 +50,10 @@ __all__ = [
     "class_members",
     "connectivity_report",
     "degree_profile",
-    "divisors",
     "edge_connectivity",
     "export_dot",
     "factorize",
     "format_factorization",
-    "is_connected",
     "min_degree",
     "predict",
     "predict_edge_connectivity",
@@ -65,7 +62,6 @@ __all__ = [
     "quotient_report",
     "render",
     "sweep",
-    "totient",
     "vertex_connectivity",
     "witness_cut",
 ]

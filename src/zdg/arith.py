@@ -1,4 +1,4 @@
-"""Integer arithmetic helpers: factorization, totient, divisor enumeration.
+"""Integer arithmetic: prime factorization and its text form.
 
 Everything here is exact integer math on any n in [1, 2^63 - 1].
 factorize trial-divides by the primes below 1000, which completely factors
@@ -44,10 +44,6 @@ class Factorization(NamedTuple):
 
     n: int
     factors: tuple[tuple[int, int], ...]
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
@@ -160,28 +156,6 @@ def _pollard_brent(m: int) -> int:
                 g = gcd(x - ys, m)
         if g != m:
             return g
-
-
-def totient(f: Factorization) -> int:
-    """Euler's totient from a factorization; totient of 1 is 1."""
-    t = 1
-    for p, a in f.factors:
-        t *= (p - 1) * p ** (a - 1)
-    return t
-
-
-def divisors(f: Factorization) -> list[int]:
-    """All positive divisors of n in ascending order."""
-    out = [1]
-    for p, a in f.factors:
-        pk = 1
-        ext = []
-        for _ in range(a):
-            pk *= p
-            ext.extend(d * pk for d in out)
-        out.extend(ext)
-    out.sort()
-    return out
 
 
 def format_factorization(f: Factorization) -> str:

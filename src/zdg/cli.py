@@ -11,7 +11,7 @@ import sys
 from collections.abc import Iterable
 
 from .errors import NoZeroDivisorsError, ResourceLimitError
-from .graphs import _dot_lines, build_explicit
+from .graphs import build_explicit, export_dot
 from .harness import analyze, audit, csv_row, render, sweep
 
 
@@ -99,7 +99,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     graph = build_explicit(args.n)
-    _emit(_dot_lines(graph, args.color_classes), args.output)
+    _emit(export_dot(graph, args.color_classes), args.output)
     return 0
 
 

@@ -44,6 +44,8 @@ class _View:
     __slots__ = ("verts", "nbrs", "degs")
 
     def __init__(self, g):
+        if not g.vertices:
+            raise ValueError("graph has no vertices")
         self.verts = list(g.vertices)
         index = {v: i for i, v in enumerate(self.verts)}
         self.nbrs = [[index[w] for w in g.adjacency[v]] for v in self.verts]
@@ -65,15 +67,10 @@ def _view_connected(view: _View) -> bool:
     return count == nv
 
 
-def is_connected(g) -> bool:
-    """BFS connectivity; a single-vertex graph counts as connected."""
-    if not g.vertices:
-        raise ValueError("graph has no vertices")
-    return _view_connected(_View(g))
-
-
 def min_degree(g) -> int:
     """Smallest vertex degree; 0 for a single-vertex graph."""
+    if not g.vertices:
+        raise ValueError("graph has no vertices")
     return min(len(g.adjacency[v]) for v in g.vertices)
 
 

@@ -34,15 +34,6 @@ class ZeroDivisorGraph(NamedTuple):
     adjacency: dict[int, tuple[int, ...]]
     edge_count: int
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (smaller, larger) pairs in ascending order."""
-        return [
-            (u, w) for u in self.vertices for w in self.adjacency[u] if u < w
-        ]
-
 
 def _class_degree(n: int, d: int) -> int:
     """Degree of a class-d vertex: the d - 1 nonzero multiples of n/d, less
@@ -202,22 +193,16 @@ def build_explicit(n: int) -> ZeroDivisorGraph:
     return ZeroDivisorGraph(n, tuple(sorted(adjacency)), adjacency, num_edges)
 
 
-def export_dot(g: ZeroDivisorGraph, color_by_class: bool = False) -> str:
-    """Graphviz DOT text; every edge appears once, smaller endpoint first.
+def export_dot(g: ZeroDivisorGraph, color_by_class: bool = False) -> Iterator[str]:
+    """Graphviz DOT text in chunks; every edge appears once, smaller
+    endpoint first.
 
     With color_by_class, vertices in the same divisor class share a fill
-    color (HSV, spread over the class list).
-    """
-    return "".join(_dot_lines(g, color_by_class))
-
-
-def _dot_lines(g: ZeroDivisorGraph, color_by_class: bool) -> Iterator[str]:
-    """export_dot's text in order, a vertex's lines at a time.
-
-    Each yield is whole lines: the header, one vertex statement, one
-    vertex's edges to larger neighbors, or the closing brace.  Batching
-    the edges by vertex keeps the number of writes near the number of
-    vertices when a caller streams them to an unbuffered stream.
+    color (HSV, spread over the class list).  Each chunk is whole lines:
+    the header, one vertex statement, one vertex's edges to larger
+    neighbors, or the closing brace.  Batching the edges by vertex keeps
+    the number of writes near the number of vertices when a caller
+    streams the chunks to an unbuffered stream.
     """
     yield f"graph zdg_{g.n} {{\n"
     if color_by_class:

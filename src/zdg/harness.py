@@ -115,7 +115,6 @@ class AuditResult(NamedTuple):
     rows: tuple[AuditFinding, ...]
     checked: int
     mismatches: tuple[AuditFinding, ...]
-    skipped: tuple[AuditFinding, ...]
 
     def summary(self) -> str:
         return (
@@ -128,9 +127,8 @@ def audit(start: int, stop: int, *, jobs: int = 1) -> AuditResult:
     """Sweep a range and fold the rows into an audit verdict."""
     rows = tuple(sweep(start, stop, jobs=jobs))
     mismatches = tuple(r for r in rows if not r.skip_reason and not r.match)
-    skipped = tuple(r for r in rows if r.skip_reason)
     checked = sum(1 for r in rows if not r.skip_reason)
-    return AuditResult(rows, checked, mismatches, skipped)
+    return AuditResult(rows, checked, mismatches)
 
 
 def _csv_cell(value) -> str:

@@ -1,4 +1,4 @@
-"""Arithmetic layer: factorization, totient, divisors."""
+"""Arithmetic layer: factorization and its text form."""
 from __future__ import annotations
 
 import math
@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, primerange
 
-from zdg.arith import Factorization, divisors, factorize, format_factorization, totient
+from zdg.arith import Factorization, factorize, format_factorization
 
 PROPERTY_SETTINGS = settings(
     max_examples=250,
@@ -45,21 +45,6 @@ def test_factorization_predicates():
     assert factorize(7).is_prime() is True
     assert factorize(7).is_composite() is False
     assert factorize(4).is_composite() is True
-    assert factorize(12).primes == (2, 3)
-
-
-def test_totient_examples():
-    assert totient(factorize(9)) == 6
-    assert totient(factorize(12)) == 4
-    assert totient(factorize(1)) == 1
-    assert totient(factorize(13)) == 12
-
-
-def test_divisors_examples():
-    assert divisors(factorize(12)) == [1, 2, 3, 4, 6, 12]
-    assert divisors(factorize(27)) == [1, 3, 9, 27]
-    assert divisors(factorize(7)) == [1, 7]
-    assert divisors(factorize(1)) == [1]
 
 
 def test_format_factorization():
@@ -151,31 +136,6 @@ def test_factorization_reconstructs_and_is_prime(n):
         prod *= p**a
     assert prod == n
     assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors})
-
-
-@PROPERTY_SETTINGS
-@given(st.integers(min_value=1, max_value=10**6))
-def test_divisor_count_matches_exponents(n):
-    f = factorize(n)
-    divs = divisors(f)
-    expected = math.prod(a + 1 for _, a in f.factors)
-    assert len(divs) == expected
-    assert divs == sorted(set(divs))
-    assert all(n % d == 0 for d in divs)
-
-
-@PROPERTY_SETTINGS
-@given(st.integers(min_value=1, max_value=10**6))
-def test_totient_sum_over_divisors(n):
-    # sum of totient(n/d) over all divisors d of n gives n back
-    f = factorize(n)
-    assert sum(totient(factorize(n // d)) for d in divisors(f)) == n
-
-
-def test_totient_sum_exhaustive_small():
-    for n in range(1, 2001):
-        f = factorize(n)
-        assert sum(totient(factorize(n // d)) for d in divisors(f)) == n
 
 
 def test_factorization_is_frozen():

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import subprocess
@@ -107,14 +108,14 @@ def test_audit_clean_range(capsys):
 
 def test_export_dot(capsys):
     assert main(["export-dot", "--n", "8"]) == 0
-    assert capsys.readouterr().out == export_dot(build_explicit(8))
+    assert capsys.readouterr().out == "".join(export_dot(build_explicit(8)))
 
 
 def test_export_dot_colored(capsys):
     assert main(["export-dot", "--n", "12", "--color-classes"]) == 0
     out = capsys.readouterr().out
     assert "fillcolor" in out
-    assert out == export_dot(build_explicit(12), color_by_class=True)
+    assert out == "".join(export_dot(build_explicit(12), color_by_class=True))
 
 
 @pytest.mark.parametrize("color", [False, True])
@@ -122,8 +123,26 @@ def test_export_dot_output_file(tmp_path, color):
     path = tmp_path / "z27.dot"
     argv = ["export-dot", "--n", "27", "--output", str(path)]
     assert main(argv + ["--color-classes"] * color) == 0
-    expected = export_dot(build_explicit(27), color_by_class=color)
+    expected = "".join(export_dot(build_explicit(27), color_by_class=color))
     assert path.read_bytes() == expected.encode()
+
+
+# sha256 of `zdg export-dot` output, independent of export_dot itself, so a
+# rewrite of it cannot move both sides of the comparison
+_DOT_SHA256 = {
+    (27, False): "f40083c5f03faa3a68ba693a30b8038134373d844d9ecaf60dd8530e0e82b0d1",
+    (27, True): "9eecfc9ee2ca421192d553ca8be3d74ad3c7066b9d5f07e5d5b4b89047012542",
+    (3600, False): "b487a2f19b37529176eead017070eee1235465221986f7461afa9ee9d0250f7c",
+    (3600, True): "e0f782aa86a0ff2e7599d66ef5add4b0f30cc2b7536f67da502cd7125e0a6589",
+}
+
+
+@pytest.mark.parametrize("n, color", list(_DOT_SHA256))
+def test_export_dot_bytes_pinned(tmp_path, n, color):
+    path = tmp_path / "out.dot"
+    argv = ["export-dot", "--n", str(n), "--output", str(path)]
+    assert main(argv + ["--color-classes"] * color) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _DOT_SHA256[n, color]
 
 
 def test_export_dot_rejects_prime(capsys):

@@ -9,7 +9,7 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import zdg.connectivity as connectivity
@@ -18,7 +18,6 @@ from zdg.connectivity import (
     _FlowNet,
     connectivity_report,
     edge_connectivity,
-    is_connected,
     min_degree,
     quotient_report,
     vertex_connectivity,
@@ -43,33 +42,17 @@ composite_mid = st.integers(min_value=4, max_value=300).filter(
 )
 
 
-@st.composite
-def small_graphs(draw):
-    nv = draw(st.integers(min_value=1, max_value=7))
-    verts = tuple(10 * (i + 1) for i in range(nv))  # labels != indices
-    pairs = list(combinations(range(nv), 2))
-    mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for b, (i, j) in enumerate(pairs):
-        if mask >> b & 1:
-            adj[verts[i]].append(verts[j])
-            adj[verts[j]].append(verts[i])
-    return SimpleNamespace(
-        vertices=verts,
-        adjacency={v: tuple(sorted(a)) for v, a in adj.items()},
-    )
-
-
 # -- basics --
 
 
-def test_is_connected():
-    assert is_connected(build_explicit(12)) is True
-    assert is_connected(build_explicit(4)) is True  # single vertex
-    split = SimpleNamespace(vertices=(1, 2), adjacency={1: (), 2: ()})
-    assert is_connected(split) is False
-    with pytest.raises(ValueError):
-        is_connected(SimpleNamespace(vertices=(), adjacency={}))
+@pytest.mark.parametrize(
+    "entry",
+    [min_degree, edge_connectivity, vertex_connectivity, connectivity_report],
+    ids=lambda f: f.__name__,
+)
+def test_empty_graph_rejected(entry):
+    with pytest.raises(ValueError, match="^graph has no vertices$"):
+        entry(SimpleNamespace(n=0, vertices=(), adjacency={}))
 
 
 def test_min_degree():
@@ -217,7 +200,7 @@ def test_explicit_matches_networkx_61_to_150():
             continue
         g = build_explicit(n)
         rep = connectivity_report(g)
-        h = nx.Graph(g.edges())
+        h = nx.Graph((u, w) for u in g.vertices for w in g.adjacency[u] if u < w)
         h.add_nodes_from(g.vertices)
         assert (nx.node_connectivity(h), nx.edge_connectivity(h)) == (
             rep.kappa,
@@ -406,7 +389,7 @@ def test_vertex_cut_skips_network_when_no_flow_runs(monkeypatch):
     assert [vertex_connectivity(g) for g in graphs] == expected
 
 
-# -- random graph fuzz against the independent brute force --
+# -- every small graph against the independent brute force --
 
 
 # the minimum cut closest to 10 deletes 30 and 40; its flow also fills the
@@ -422,39 +405,59 @@ _SATURATED_SOURCE_EDGE = {
 }
 
 
-@PROPERTY_SETTINGS
-@given(small_graphs())
-@example(
-    SimpleNamespace(
+def _labelled_graph(nv: int, mask: int) -> SimpleNamespace:
+    """The graph on nv vertices with an edge on the b-th pair of
+    combinations(range(nv), 2) wherever bit b of mask is set."""
+    verts = tuple(10 * (i + 1) for i in range(nv))  # labels != indices
+    adj: dict[int, list[int]] = {v: [] for v in verts}
+    for b, (i, j) in enumerate(combinations(range(nv), 2)):
+        if mask >> b & 1:
+            adj[verts[i]].append(verts[j])
+            adj[verts[j]].append(verts[i])
+    return SimpleNamespace(
+        vertices=verts,
+        adjacency={v: tuple(sorted(a)) for v, a in adj.items()},
+    )
+
+
+def _oracle_graphs():
+    """Every labelled graph on 1 to 6 vertices (33,867 graphs), a seeded
+    sample of 1,000 graphs on 7, and _SATURATED_SOURCE_EDGE."""
+    for nv in range(1, 7):
+        for mask in range(1 << nv * (nv - 1) // 2):
+            yield _labelled_graph(nv, mask)
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        yield _labelled_graph(7, rng.getrandbits(21))
+    yield SimpleNamespace(
         vertices=tuple(_SATURATED_SOURCE_EDGE), adjacency=_SATURATED_SOURCE_EDGE
     )
-)
-def test_vertex_connectivity_matches_brute_force(g):
-    expected = _brute_kappa(g)
-    value, cut = vertex_connectivity(g)
-    assert value == expected
-    assert len(cut) == value
-    assert len(set(cut)) == value
-    assert all(v in g.vertices for v in cut)
-    if len(g.vertices) > 1 and is_connected(g):
-        assert not _alive_connected(
-            list(g.vertices), g.adjacency, frozenset(cut)
-        ) or len(g.vertices) - value == 1
 
 
-@PROPERTY_SETTINGS
-@given(small_graphs())
-def test_edge_connectivity_matches_brute_force(g):
-    expected = _brute_kappa_e(g)
-    value, cut = edge_connectivity(g)
-    assert value == expected
-    assert len(cut) == value
-    edges = {(u, w) for u in g.vertices for w in g.adjacency[u] if u < w}
-    assert set(cut) <= edges
-    if len(g.vertices) > 1 and is_connected(g):
-        assert not _alive_connected(
-            list(g.vertices), g.adjacency, frozenset(), frozenset(cut)
-        )
+def test_vertex_connectivity_matches_brute_force():
+    for g in _oracle_graphs():
+        value, cut = vertex_connectivity(g)
+        assert value == _brute_kappa(g), g
+        assert len(set(cut)) == len(cut) == value, g
+        assert all(v in g.adjacency for v in cut), g
+        verts = list(g.vertices)
+        if len(verts) > 1 and _alive_connected(verts, g.adjacency):
+            assert len(verts) - value == 1 or not _alive_connected(
+                verts, g.adjacency, frozenset(cut)
+            ), g
+
+
+def test_edge_connectivity_matches_brute_force():
+    for g in _oracle_graphs():
+        value, cut = edge_connectivity(g)
+        assert value == _brute_kappa_e(g), g
+        assert len(set(cut)) == len(cut) == value, g
+        assert all(u < w and w in g.adjacency[u] for u, w in cut), g
+        verts = list(g.vertices)
+        if len(verts) > 1 and _alive_connected(verts, g.adjacency):
+            assert not _alive_connected(
+                verts, g.adjacency, frozenset(), frozenset(cut)
+            ), g
 
 
 # -- structural properties on zero-divisor graphs --
@@ -463,7 +466,8 @@ def test_edge_connectivity_matches_brute_force(g):
 @PROPERTY_SETTINGS
 @given(composite_mid)
 def test_zdg_always_connected(n):
-    assert is_connected(build_explicit(n))
+    g = build_explicit(n)
+    assert _alive_connected(list(g.vertices), g.adjacency)
 
 
 @PROPERTY_SETTINGS

@@ -134,7 +134,7 @@ def test_three_quantities_agree_and_follow_smallest_prime(n):
     ke = predict_edge_connectivity(f).value
     kd = predict_min_degree(f).value
     assert kv == ke == kd
-    p = min(f.primes)
+    p = f.factors[0][0]
     if len(f.factors) == 1 and f.factors[0][1] == 2:
         assert kv == p - 2
     else:

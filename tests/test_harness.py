@@ -291,7 +291,7 @@ def test_audit_counts():
     assert result.checked == 4
     assert [r.n for r in result.rows] == [4, 5, 6, 7, 8, 9]
     assert result.mismatches == ()
-    assert [r.n for r in result.skipped] == [5, 7]
+    assert [r.n for r in result.rows if r.skip_reason] == [5, 7]
     assert result.summary() == "checked 4 composite values, 0 mismatches"
 
 
