@@ -12,7 +12,9 @@ from collections.abc import Iterable
 
 from .errors import NoZeroDivisorsError, ResourceLimitError
 from .graphs import build_explicit, export_dot
-from .harness import analyze, audit, csv_row, render, sweep
+from .harness import (
+    analyze, audit_chunks, csv_chunk, render, summary, sweep_text,
+)
 
 
 _OPTIONS = {
@@ -84,17 +86,26 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    findings = sweep(args.start, args.stop, jobs=args.jobs)
-    _emit([render(findings, args.format)], args.output)
+    text = sweep_text(args.start, args.stop, args.format, jobs=args.jobs)
+    _emit(text, args.output)
     return 0
 
 
 def _cmd_audit(args) -> int:
-    result = audit(args.start, args.stop, jobs=args.jobs)
-    lines = [csv_row(r) for r in result.rows if r.skip_reason or not r.match]
-    lines.append(result.summary())
-    _emit(["\n".join(lines) + "\n"], args.output)
-    return 2 if result.mismatches else 0
+    chunks = audit_chunks(args.start, args.stop, csv_chunk, jobs=args.jobs)
+    mismatches = 0
+
+    def text():
+        nonlocal mismatches
+        checked = 0
+        for lines, chunk_checked, chunk_mismatches in chunks:
+            checked += chunk_checked
+            mismatches += chunk_mismatches
+            yield lines
+        yield summary(checked, mismatches) + "\n"
+
+    _emit(text(), args.output)
+    return 2 if mismatches else 0
 
 
 def _cmd_export_dot(args) -> int:

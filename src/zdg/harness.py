@@ -7,16 +7,20 @@ the explicit-graph size guard carry a skip reason and no values.  The
 guard takes its counts from the factorization (graphs.graph_size), so a
 refused n builds no class; an answered n checks them against the class
 sums.  Rendering is deterministic so sweeps can be diffed byte-for-byte.
-The process pool is imported only when sweep runs with jobs > 1, so
-importing this module (and the CLI) does not load multiprocessing.
+
+Ranges run through chunks.chunked: consecutive chunks, each analysed and
+rendered by one worker, yielded in input order.  That module is imported
+only when a range runs, so importing this one (and the CLI) neither
+compiles it nor loads multiprocessing.
 """
 from __future__ import annotations
 
 import json
-import os
+from collections.abc import Iterator
+from functools import partial
 from typing import NamedTuple
 
-from .arith import _check_range, factorize, format_factorization
+from .arith import factorize, format_factorization
 from .connectivity import quotient_report
 from .errors import ResourceLimitError
 from .formulas import predict
@@ -86,49 +90,87 @@ def analyze(n: int) -> AuditFinding:
     )
 
 
+def _sweep_chunk(render_rows, values: range):
+    return render_rows(map(analyze, values))
+
+
+def _sweep_chunks(start: int, stop: int, render_rows, jobs: int) -> Iterator:
+    from .chunks import chunked
+
+    return chunked(partial(_sweep_chunk, render_rows), start, stop, jobs=jobs)
+
+
 def sweep(start: int, stop: int, *, jobs: int = 1) -> list[AuditFinding]:
     """Audit every n in [start, stop], in ascending order.
 
-    With jobs > 1 the work is spread over a process pool of at most
-    min(jobs, cpu count, range length) workers; results are emitted in
-    input order, so output is identical for any jobs value.  Both ends
-    must lie in [1, 2^63 - 1]; they are checked before any n is analysed.
+    The work runs through chunks.chunked, so output is identical for any
+    jobs value and both ends are checked before any n is analysed.
     """
-    _check_range(start)
-    _check_range(stop)
-    if stop < start:
-        raise ValueError(f"need 1 <= start <= stop, got [{start}, {stop}]")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    values = range(start, stop + 1)
-    workers = min(jobs, os.cpu_count() or 1, len(values))
-    if workers == 1:
-        return [analyze(n) for n in values]
-    from concurrent.futures import ProcessPoolExecutor
+    chunks = _sweep_chunks(start, stop, list, jobs)
+    return [row for rows in chunks for row in rows]
 
-    chunk = max(1, len(values) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(analyze, values, chunksize=chunk))
+
+def sweep_text(
+    start: int, stop: int, fmt: str, *, jobs: int = 1
+) -> Iterator[str]:
+    """The text of render(sweep(start, stop, jobs=jobs), fmt), in pieces.
+
+    Each worker renders its own chunks, so only text crosses between
+    processes, and a piece is yielded as soon as its chunk is done: memory
+    does not grow with the range.  The format and the range are checked
+    now, before any piece is made.
+    """
+    render_rows, frame = _format(fmt)
+    return frame(_sweep_chunks(start, stop, render_rows, jobs))
+
+
+def summary(checked: int, mismatches: int) -> str:
+    return f"checked {checked} composite values, {mismatches} mismatches"
 
 
 class AuditResult(NamedTuple):
+    """Counts of an audit, and its offenders: skip rows and mismatches."""
+
     rows: tuple[AuditFinding, ...]
     checked: int
     mismatches: tuple[AuditFinding, ...]
 
     def summary(self) -> str:
-        return (
-            f"checked {self.checked} composite values, "
-            f"{len(self.mismatches)} mismatches"
-        )
+        return summary(self.checked, len(self.mismatches))
+
+
+def _audit_chunk(render_rows, values: range):
+    offenders, checked = [], 0
+    for n in values:
+        row = analyze(n)
+        checked += not row.skip_reason
+        if row.skip_reason or not row.match:
+            offenders.append(row)
+    mismatches = sum(1 for row in offenders if not row.skip_reason)
+    return render_rows(offenders), checked, mismatches
+
+
+def audit_chunks(
+    start: int, stop: int, render_rows, *, jobs: int = 1
+) -> Iterator:
+    """Yield (render_rows(offenders), checked, mismatches) per chunk.
+
+    Offenders are the skip rows and mismatches, the rows an audit prints;
+    checked counts the composites.  Runs through chunks.chunked.
+    """
+    from .chunks import chunked
+
+    return chunked(partial(_audit_chunk, render_rows), start, stop, jobs=jobs)
 
 
 def audit(start: int, stop: int, *, jobs: int = 1) -> AuditResult:
-    """Sweep a range and fold the rows into an audit verdict."""
-    rows = tuple(sweep(start, stop, jobs=jobs))
-    mismatches = tuple(r for r in rows if not r.skip_reason and not r.match)
-    checked = sum(1 for r in rows if not r.skip_reason)
-    return AuditResult(rows, checked, mismatches)
+    """Sweep a range and fold it into an audit verdict and its offenders."""
+    rows, checked = [], 0
+    for offenders, count, _ in audit_chunks(start, stop, tuple, jobs=jobs):
+        rows.extend(offenders)
+        checked += count
+    mismatches = tuple(row for row in rows if not row.skip_reason)
+    return AuditResult(tuple(rows), checked, mismatches)
 
 
 def _csv_cell(value) -> str:
@@ -145,20 +187,56 @@ def csv_row(finding: AuditFinding) -> str:
     return ",".join(map(_csv_cell, finding))
 
 
-def render_csv(findings) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(csv_row(f) for f in findings)
-    return "\n".join(lines) + "\n"
+def csv_chunk(findings) -> str:
+    """The CSV lines of findings, no header, each ending in a newline."""
+    return "".join([csv_row(f) + "\n" for f in findings])
 
 
-def render_json(findings) -> str:
-    rows = [f._asdict() for f in findings]
-    return json.dumps(rows, indent=2) + "\n"
+def _csv_frame(chunks) -> Iterator[str]:
+    yield CSV_HEADER + "\n"
+    yield from chunks
+
+
+def _json_chunk(findings) -> str:
+    """The array elements of findings as json.dumps(rows, indent=2) has them."""
+    # strip the array's "[\n" and "\n]"; an empty array "[]" leaves ""
+    return json.dumps([f._asdict() for f in findings], indent=2)[2:-2]
+
+
+def _json_frame(chunks) -> Iterator[str]:
+    """The text of json.dumps(rows, indent=2) + "\n" around _json_chunks."""
+    opener = "[\n"
+    for chunk in chunks:
+        if chunk:
+            yield opener + chunk
+            opener = ",\n"
+    yield "[]\n" if opener == "[\n" else "\n]\n"
+
+
+_FORMATS = {
+    "csv": (csv_chunk, _csv_frame),
+    "json": (_json_chunk, _json_frame),
+}
+
+
+def _format(fmt: str):
+    """(chunk renderer, frame) of a format: render is frame([chunk(rows)])."""
+    try:
+        return _FORMATS[fmt]
+    except KeyError:
+        raise ValueError(
+            f"format must be 'csv' or 'json', got {fmt!r}"
+        ) from None
 
 
 def render(findings, fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv(findings)
-    if fmt == "json":
-        return render_json(findings)
-    raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+    render_rows, frame = _format(fmt)
+    return "".join(frame([render_rows(findings)]))
+
+
+def render_csv(findings) -> str:
+    return render(findings, "csv")
+
+
+def render_json(findings) -> str:
+    return render(findings, "json")

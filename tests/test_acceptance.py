@@ -81,17 +81,19 @@ def test_criterion_05_full_audit_to_1000():
     t0 = time.perf_counter()
     result = audit(4, 1000)
     elapsed = time.perf_counter() - t0
+    # audit keeps only the rows it prints, so the triples are read from sweep
+    rows = sweep(4, 1000)
     equal_triples = all(
-        r.delta == r.kappa_e == r.kappa
-        for r in result.rows
-        if not r.skip_reason
+        r.delta == r.kappa_e == r.kappa for r in rows if not r.skip_reason
     )
     only_prime_skips = all(
         r.skip_reason == "NoZeroDivisors" for r in result.rows if r.skip_reason
     )
+    offenders = [r for r in rows if r.skip_reason or not r.match]
     ok = (
         result.checked == 831
         and not result.mismatches
+        and list(result.rows) == offenders
         and equal_triples
         and only_prime_skips
         and elapsed < 300.0

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
 import pickle
 import subprocess
 import sys
@@ -95,6 +97,49 @@ def test_sweep_jobs_deterministic(tmp_path):
         ["sweep", "--from", "4", "--to", "40", "--jobs", "2", "--output", str(two)]
     ) == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+# sha256 of `zdg sweep --from 4 --to 2000` and `zdg audit --from 4 --to 3000`
+# output, recorded while each run rendered all its rows at once
+_RANGE_SHA256 = {
+    ("sweep", "2000", "csv"): "c4773acb3eb33c0f0905c99d34ed5d63c654c71545edfed00c606fea722f4974",
+    ("sweep", "2000", "json"): "71198b9c6174a32818d00e5826a7182bb0f0d4d00f217d156b55230c60db0500",
+    ("audit", "3000", None): "478a961d1a28e2c61910d07e1d9a47d5a7656416e2a08fef4917d248378ebc82",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command, stop, fmt", list(_RANGE_SHA256))
+def test_range_bytes_pinned(tmp_path, monkeypatch, command, stop, fmt, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a child on any host
+    path = tmp_path / "out"
+    argv = [command, "--from", "4", "--to", stop, "--jobs", jobs]
+    argv += ["--format", fmt] * (fmt is not None) + ["--output", str(path)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _RANGE_SHA256[command, stop, fmt]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "audit"])
+@pytest.mark.parametrize(
+    "start, stop, jobs", [("9", "4", "2"), ("4", "9", "0"), ("4", str(2**63), "2")]
+)
+def test_range_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, command, start, stop, jobs
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    path = tmp_path / "out"
+    argv = [command, "--from", start, "--to", stop, "--jobs", jobs]
+    assert main(argv + ["--output", str(path)]) == 1
+    assert not path.exists()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("zdg: error:")
 
 
 def test_audit_clean_range(capsys):
@@ -240,7 +285,8 @@ def test_import_loads_no_pool_or_dataclasses(child_env):
 
 
 def test_results_survive_pickle():
-    # the --jobs pool sends each analyze result back to the parent pickled
+    # sweep(jobs > 1) gets each chunk's rows from its worker processes
+    # pickled; the CLI's workers send rendered text instead
     for record in (analyze(25), quotient_report(build_compressed(12))):
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record)

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import concurrent.futures
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -12,6 +13,7 @@ import zdg.connectivity as connectivity
 import zdg.graphs as graphs
 import zdg.harness as harness
 from zdg.arith import factorize
+from zdg.chunks import chunked
 from zdg.errors import ResourceLimitError
 from zdg.harness import (
     CSV_HEADER,
@@ -259,39 +261,96 @@ def test_sweep_jobs_deterministic():
 def test_sweep_clamps_workers(monkeypatch):
     made = []
 
-    class RecordingPool:
-        """Records max_workers and maps in this process; starts no worker."""
+    class InlineProcess:
+        """Runs its target in this process when started; starts no process."""
 
-        def __init__(self, max_workers):
-            made.append(max_workers)
+        def __init__(self, target, args, daemon):
+            made[-1] += 1
+            self.target, self.args = target, args
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.target(*self.args)
 
-        def __exit__(self, *exc):
-            return False
+        def terminate(self):
+            pass
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def join(self):
+            pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def counted(start, stop, jobs):
+        made.append(1)  # worker 0 is the calling process
+        return sweep(start, stop, jobs=jobs)
+
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
     serial = sweep(4, 20)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
-    assert sweep(4, 20, jobs=100_000) == serial  # clamped to the cpu count
-    assert sweep(4, 6, jobs=100_000) == serial[:3]  # clamped to the range
-    assert sweep(4, 20, jobs=2) == serial
-    assert sweep(4, 4, jobs=8) == serial[:1]  # one value: serial path
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    assert sweep(4, 20, jobs=8) == serial  # unknown cpu count: serial path
-    assert made == [4, 3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert counted(4, 20, 100_000) == serial  # clamped to the cpu count
+    assert counted(4, 6, 100_000) == serial[:3]  # clamped to the range
+    assert counted(4, 20, 2) == serial
+    assert counted(4, 4, 8) == serial[:1]  # one value: serial path
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert counted(4, 20, 8) == serial  # unknown cpu count: serial path
+    assert made == [4, 3, 2, 1, 1]
+
+
+def _fail_in_child(values):
+    if multiprocessing.parent_process() is not None:
+        raise RuntimeError(f"planted at n = {values.start}")
+    return list(values)
+
+
+def _exit_in_child(values):
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return list(values)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let jobs=2 start a child process on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_chunked_raises_a_child_error(two_cpus):
+    # 4..2000 on two workers: chunks of 124, the second on the child
+    chunks = chunked(_fail_in_child, 4, 2000, jobs=2)
+    assert next(chunks) == list(range(4, 128))
+    with pytest.raises(RuntimeError, match=r"^planted at n = 128$"):
+        next(chunks)
+    assert multiprocessing.active_children() == []
+
+
+def test_chunked_reports_a_child_that_died(two_cpus):
+    chunks = chunked(_exit_in_child, 4, 2000, jobs=2)
+    assert next(chunks) == list(range(4, 128))
+    with pytest.raises(RuntimeError, match=r"^worker 1 ended before .* 128\.\.251$"):
+        next(chunks)
+    assert multiprocessing.active_children() == []
+
+
+def test_chunked_close_stops_children(two_cpus):
+    chunks = chunked(list, 4, 100_000, jobs=2)
+    assert next(chunks) == list(range(4, 1028))  # chunks of at most 1024
+    assert len(multiprocessing.active_children()) == 1
+    chunks.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_chunked_checks_before_running(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    for start, stop, jobs in ((9, 4, 2), (4, 9, 0), (4, 2**63, 2)):
+        with pytest.raises(ValueError):
+            chunked(refuse, start, stop, jobs=jobs)  # not iterated
 
 
 def test_audit_counts():
     result = audit(4, 9)
     assert result.checked == 4
-    assert [r.n for r in result.rows] == [4, 5, 6, 7, 8, 9]
+    assert [r.n for r in result.rows] == [5, 7]  # only the rows audit prints
     assert result.mismatches == ()
-    assert [r.n for r in result.rows if r.skip_reason] == [5, 7]
     assert result.summary() == "checked 4 composite values, 0 mismatches"
 
 
