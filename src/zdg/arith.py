@@ -32,8 +32,8 @@ def _primes_below(bound: int) -> tuple[int, ...]:
 _TRIAL_BOUND = 1000
 _PRIME_BELOW = _TRIAL_BOUND**2
 _SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
-# Miller-Rabin on the first 12 primes as bases is exact below 3.3e24
-# (Sorenson & Webster, Math. Comp. 86, 2017), far above 2^63.
+# Miller-Rabin on the first 12 primes as bases is exact below their least
+# strong pseudoprime, ~3.18e23 > 2^63 (Sorenson & Webster, Math. Comp. 86, 2017).
 _MR_BASES = _SMALL_PRIMES[:12]
 # Pollard-Brent folds this many differences into one product per gcd.
 _RHO_BATCH = 128
@@ -108,7 +108,7 @@ def _split(m: int, out: list[int]) -> None:
 
 
 def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin for odd m > _MR_BASES[-1], m < 3.3e24."""
+    """Deterministic Miller-Rabin for odd m > _MR_BASES[-1], m < 3.18e23."""
     d = m - 1
     s = 0
     while d % 2 == 0:

@@ -2,11 +2,12 @@
 
 Subcommands: analyze (one n), sweep (a range), audit (range + verdict),
 export-dot (Graphviz text).  Exit codes: 0 success, 1 usage or input
-error, 2 audit found mismatches.
+error or a reader that hung up, 2 audit found mismatches.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterable
 
@@ -131,6 +132,9 @@ def main(argv=None) -> int:
         return 0 if exit_.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:  # the reader hung up; the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NoZeroDivisorsError, ResourceLimitError, ValueError, OSError) as err:
         print(f"zdg: error: {err}", file=sys.stderr)
         return 1

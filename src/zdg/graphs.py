@@ -42,13 +42,9 @@ def _class_degree(n: int, d: int) -> int:
 
 
 class CompressedZdg(NamedTuple):
-    """Divisor classes of the zero-divisor graph.
-
-    classes holds (d, size) with size = totient(n/d) for every proper
-    divisor 1 < d < n, ascending in d.  Adjacency needs no storage: a
-    class-d vertex x is adjacent to the nonzero multiples of n/d other
-    than x (Anderson & Livingston, J. Algebra 217, 1999).
-    """
+    """Divisor classes of the zero-divisor graph: the (d, totient(n/d))
+    pairs of divisor_classes, ascending in d.  Adjacency needs no storage,
+    as the module docstring shows."""
 
     n: int
     classes: tuple[tuple[int, int], ...]
@@ -91,12 +87,9 @@ def build_compressed(n: int) -> CompressedZdg:
     return compress(factorize(n))
 
 
-def compress(f: Factorization) -> CompressedZdg:
-    """build_compressed for an n whose factorization is already known."""
-    if not f.is_composite():
-        raise NoZeroDivisorsError(
-            f"Z_{f.n} has no nonzero zero divisors; need composite n >= 4"
-        )
+def divisor_classes(f: Factorization) -> list[tuple[int, int]]:
+    """(d, totient(n/d)) for every proper divisor 1 < d < n, in the order
+    the prime-power product makes them; none for n = 1 or n prime."""
     # (d, totient(n/d)) over all divisors d, one prime p^a at a time: p^b in
     # d leaves p^(a-b) in n/d, whose totient is (p-1)*p^(a-b-1), or 1 if b = a
     pairs = [(1, 1)]
@@ -104,8 +97,16 @@ def compress(f: Factorization) -> CompressedZdg:
         powers = [(p**b, (p - 1) * p ** (a - b - 1)) for b in range(a)]
         powers.append((p**a, 1))
         pairs = [(d * q, t * s) for d, t in pairs for q, s in powers]
-    pairs.sort()
-    return CompressedZdg(f.n, tuple(pairs[1:-1]))  # drop d = 1 and d = n
+    return pairs[1:-1]  # the product makes d = 1 first and d = n last
+
+
+def compress(f: Factorization) -> CompressedZdg:
+    """build_compressed for an n whose factorization is already known."""
+    if not f.is_composite():
+        raise NoZeroDivisorsError(
+            f"Z_{f.n} has no nonzero zero divisors; need composite n >= 4"
+        )
+    return CompressedZdg(f.n, tuple(sorted(divisor_classes(f))))
 
 
 def degree_profile(c: CompressedZdg) -> DegreeProfile:

@@ -1,12 +1,12 @@
 """Sweep and audit machinery: computed connectivity vs closed-form predictions.
 
-A finding is one row of the audit table.  Each composite n is analysed on
-its divisor classes alone (connectivity.quotient_report); no explicit graph
-is built.  Rows for n with no zero-divisor graph (n prime, n <= 3) or past
-the explicit-graph size guard carry a skip reason and no values.  The
-guard takes its counts from the factorization (graphs.graph_size), so a
-refused n builds no class; an answered n checks them against the class
-sums.  Rendering is deterministic so sweeps can be diffed byte-for-byte.
+A finding is one row of the audit table.  Each composite n is analysed in
+one pass over its unsorted divisor classes (connectivity.quotient_report),
+building no explicit graph and no residue witness.  Rows for n with no
+zero-divisor graph (n prime, n <= 3) or past the explicit-graph size guard
+carry a skip reason and no values.  The guard counts from the factorization
+(graphs.graph_size), so a refused n builds no class; an answered n checks
+the counts against the class sums.  Rendering is deterministic.
 
 Ranges run through chunks.chunked: consecutive chunks, each analysed and
 rendered by one worker, yielded in input order.  That module is imported
@@ -24,7 +24,7 @@ from .arith import factorize, format_factorization
 from .connectivity import quotient_report
 from .errors import ResourceLimitError
 from .formulas import predict
-from .graphs import compress, explicit_size
+from .graphs import divisor_classes, explicit_size
 
 
 class AuditFinding(NamedTuple):
@@ -52,11 +52,11 @@ CSV_HEADER = ",".join(AuditFinding._fields)
 def analyze(n: int) -> AuditFinding:
     """Audit one n: compute delta, kappa_e and kappa on the divisor classes.
 
-    The values come from quotient_report on the classes of the one
-    factorization of n.  The explicit_size guard runs first, on the
-    factorization alone, so the same n are refused as by build_explicit
-    and a refused n builds no class.  Raises RuntimeError naming n if the
-    guard's closed-form counts differ from the classes' sums.
+    The explicit_size guard runs first, on the factorization alone, so the
+    same n are refused as by build_explicit and a refused n builds no
+    class.  Then quotient_report takes the classes of the one factorization
+    in the order divisor_classes makes them.  Raises RuntimeError naming n
+    if the guard's closed-form counts differ from the classes' sums.
     """
     f = factorize(n)  # validates the 64-bit range
     ftext = format_factorization(f)
@@ -66,7 +66,7 @@ def analyze(n: int) -> AuditFinding:
         num_vertices, num_edges = explicit_size(f)
     except ResourceLimitError:
         return AuditFinding(n, ftext, skip_reason="ResourceLimit")
-    rep = quotient_report(compress(f))
+    rep = quotient_report(n, divisor_classes(f))
     if (rep.num_vertices, rep.num_edges) != (num_vertices, num_edges):
         raise RuntimeError(
             f"n={n}: closed form gives {num_vertices} vertices and "

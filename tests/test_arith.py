@@ -10,7 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, primerange
 
-from zdg.arith import Factorization, factorize, format_factorization
+from zdg.arith import (
+    _MR_BASES,
+    Factorization,
+    _is_prime,
+    factorize,
+    format_factorization,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=250,
@@ -92,6 +98,18 @@ def test_factorize_hard_inputs(n):
     elapsed = time.perf_counter() - t0
     assert f.factors == tuple(sorted(factorint(n).items()))
     assert elapsed < 1.0
+
+
+def test_miller_rabin_bases_are_exact_only_below_psi12():
+    # psi_12 (Sorenson & Webster, Math. Comp. 86, 2017) is the least
+    # composite that is a strong probable prime to all 12 bases, so the
+    # test is exact below it, which covers every 64-bit n
+    psi12 = 318665857834031151167461
+    p, q = 399165290221, 798330580441
+    assert p * q == psi12 and isprime(p) and isprime(q)
+    assert _MR_BASES == tuple(primerange(2, 38))
+    assert _is_prime(psi12)
+    assert psi12 > 2**63 - 1
 
 
 def test_factorize_seeded_sample():

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,38 @@ def test_range_refused_before_any_work(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("zdg: error:")
+
+
+@pytest.mark.parametrize("command", ["sweep", "audit"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reader_hanging_up_is_quiet(child_env, command, jobs):
+    # `zdg sweep ... | head -n 2`: no message, exit 1 since the run did not
+    # finish, and no worker left running in the process group
+    script = (
+        "import os, sys; os.cpu_count = lambda: 2; "  # a child on any host
+        "from zdg.cli import main; sys.exit(main())"
+    )
+    argv = [command, "--from", "4", "--to", "100000", "--jobs", jobs]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env,
+        start_new_session=True,
+    )
+    assert all(proc.stdout.readline().endswith(b"\n") for _ in range(2))
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=120) == 1
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # signal 0 only asks whether any is left
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_audit_clean_range(capsys):
@@ -287,7 +320,7 @@ def test_import_loads_no_pool_or_dataclasses(child_env):
 def test_results_survive_pickle():
     # sweep(jobs > 1) gets each chunk's rows from its worker processes
     # pickled; the CLI's workers send rendered text instead
-    for record in (analyze(25), quotient_report(build_compressed(12))):
+    for record in (analyze(25), quotient_report(*build_compressed(12))):
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record)
         assert copy == record

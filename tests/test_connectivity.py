@@ -20,14 +20,21 @@ from zdg.connectivity import (
     edge_connectivity,
     min_degree,
     quotient_report,
+    residue_witnesses,
     vertex_connectivity,
 )
+from zdg.errors import ResourceLimitError
 from zdg.formulas import (
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
 )
-from zdg.graphs import CompressedZdg, build_compressed, build_explicit
+from zdg.graphs import (
+    build_compressed,
+    build_explicit,
+    divisor_classes,
+    explicit_size,
+)
 
 from brute import _alive_connected, _brute_kappa, _brute_kappa_e
 
@@ -170,20 +177,19 @@ def test_quotient_matches_explicit_to_1500():
         if not factorize(n).is_composite():
             continue
         g = build_explicit(n)
-        quo = quotient_report(build_compressed(n))
+        quo = quotient_report(*build_compressed(n))
+        vcut, ecut = residue_witnesses(quo)
         exp = connectivity_report(g)
         fields = ("num_vertices", "num_edges", "delta", "kappa_e", "kappa")
         assert [getattr(quo, k) for k in fields] == [
             getattr(exp, k) for k in fields
         ], n
         verts = list(g.vertices)
-        vcut = quo.witness_vertex_cut
         assert len(set(vcut)) == len(vcut) == quo.kappa, n
         assert set(vcut) <= set(verts), n
         assert len(verts) - quo.kappa == 1 or not _alive_connected(
             verts, g.adjacency, frozenset(vcut)
         ), n
-        ecut = quo.witness_edge_cut
         assert len(set(ecut)) == len(ecut) == quo.kappa_e, n
         assert all(w in g.adjacency[u] for u, w in ecut), n
         assert len(verts) == 1 or not _alive_connected(
@@ -209,15 +215,42 @@ def test_explicit_matches_networkx_61_to_150():
 
 
 def test_quotient_report_witnesses():
-    rep = quotient_report(build_compressed(105))
+    rep = quotient_report(*build_compressed(105))
     assert (rep.delta, rep.kappa_e, rep.kappa) == (2, 2, 2)
-    assert rep.witness_vertex_cut == (35, 70)
-    assert rep.witness_edge_cut == ((3, 35), (3, 70))
-    rep = quotient_report(build_compressed(25))  # K_4
-    assert rep.witness_vertex_cut == (5, 10, 15)
-    rep = quotient_report(build_compressed(4))  # K_1
+    assert (rep.root, rep.cut_class, rep.cut_count) == (3, 35, 2)
+    assert residue_witnesses(rep) == ((35, 70), ((3, 35), (3, 70)))
+    rep = quotient_report(*build_compressed(25))  # K_4
+    assert (rep.root, rep.cut_class, rep.cut_count) == (5, 5, 3)
+    assert residue_witnesses(rep)[0] == (5, 10, 15)
+    rep = quotient_report(*build_compressed(4))  # K_1
     assert (rep.num_vertices, rep.delta, rep.kappa_e, rep.kappa) == (1, 0, 0, 0)
-    assert rep.witness_vertex_cut == rep.witness_edge_cut == ()
+    assert residue_witnesses(rep) == ((), ())
+
+
+def test_residue_witnesses_pinned_to_60000():
+    # sha256 of the residue witness_vertex_cut and witness_edge_cut that
+    # quotient_report returned while it built them itself, on every
+    # composite the explicit-graph guard admits
+    digest = hashlib.sha256()
+    for n in range(4, 60001):
+        f = factorize(n)
+        if not f.is_composite():
+            continue
+        try:
+            explicit_size(f)
+        except ResourceLimitError:
+            continue
+        vcut, ecut = residue_witnesses(quotient_report(*build_compressed(n)))
+        digest.update(f"{n}:{vcut}:{ecut}\n".encode())
+    assert digest.hexdigest() == (
+        "91a8af36aa8d7cd0b2331a8c71a8da8be97cb2707156c3a71406acc9b9a00384"
+    )
+
+
+def _shuffled(classes, seed=0):
+    classes = list(classes)
+    random.Random(seed).shuffle(classes)
+    return classes
 
 
 def test_quotient_refuses_small_class():
@@ -226,11 +259,9 @@ def test_quotient_refuses_small_class():
     # kappa >= delta certificate fails and the engine must raise rather
     # than report an uncertified value
     c = build_compressed(105)
-    planted = CompressedZdg(
-        105, tuple((d, 1 if d == 21 else size) for d, size in c.classes)
-    )
+    planted = [(d, 1 if d == 21 else size) for d, size in c.classes]
     with pytest.raises(RuntimeError) as err:
-        quotient_report(planted)
+        quotient_report(105, _shuffled(planted))
     assert str(err.value) == (
         "n=105: smallest class 21 has size 1 < delta=2, "
         "so kappa = delta is not certified"
@@ -241,12 +272,14 @@ def test_quotient_check_survives_optimize(run_optimized):
     # the smallest-class certificate must raise under -O as well
     proc = run_optimized(
         "import sys\n"
+        "import random\n"
         "from zdg.connectivity import quotient_report\n"
-        "from zdg.graphs import CompressedZdg, build_compressed\n"
+        "from zdg.graphs import build_compressed\n"
         "c = build_compressed(105)\n"
-        "sizes = tuple((d, 1 if d == 21 else k) for d, k in c.classes)\n"
+        "sizes = [(d, 1 if d == 21 else k) for d, k in c.classes]\n"
+        "random.Random(0).shuffle(sizes)\n"
         "try:\n"
-        "    quotient_report(CompressedZdg(105, sizes))\n"
+        "    quotient_report(105, sizes)\n"
         "except RuntimeError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
@@ -267,32 +300,30 @@ def test_quotient_check_survives_optimize(run_optimized):
 )
 def test_quotient_refuses_disconnected_classes(dropped, stranded):
     c = build_compressed(105)
-    planted = CompressedZdg(
-        105, tuple((d, size) for d, size in c.classes if d not in dropped)
-    )
+    planted = [(d, size) for d, size in c.classes if d not in dropped]
     with pytest.raises(RuntimeError) as err:
-        quotient_report(planted)
+        quotient_report(105, _shuffled(planted))
     assert str(err.value) == (
         f"n=105: class {stranded} reaches class 35 neither directly nor "
         f"through class {105 // stranded}, so connectedness is not certified"
     )
 
 
-@pytest.mark.parametrize(
-    "n",
-    [
-        3**2 * 5**2 * 7**2 * 11 * 13 * 17 * 19 * 23,  # 862 classes, delta = 2
-        963761198400,  # 6718 classes, delta = 1
-        5**3 * 7**2 * 11 * 13 * 17 * 19,
-        997**3,  # delta = 996
-    ],
-)
+_MANY_CLASSES = [
+    3**2 * 5**2 * 7**2 * 11 * 13 * 17 * 19 * 23,  # 862 classes, delta = 2
+    963761198400,  # 6718 classes, delta = 1
+    5**3 * 7**2 * 11 * 13 * 17 * 19,
+    997**3,  # delta = 996
+]
+
+
+@pytest.mark.parametrize("n", _MANY_CLASSES)
 def test_quotient_report_is_linear_in_classes(n):
     # the first two took seconds when the engine built class adjacency
     # and ran flows
     c = build_compressed(n)
     t0 = time.perf_counter()
-    rep = quotient_report(c)
+    rep = quotient_report(*c)
     assert time.perf_counter() - t0 < 0.5
     f = factorize(n)
     assert (rep.delta, rep.kappa_e, rep.kappa) == (
@@ -300,12 +331,23 @@ def test_quotient_report_is_linear_in_classes(n):
         predict_edge_connectivity(f).value,
         predict_vertex_connectivity(f).value,
     )
-    vcut = rep.witness_vertex_cut
+    vcut, ecut = residue_witnesses(rep)
     assert len(set(vcut)) == len(vcut) == rep.delta
     assert all(0 < v < n and gcd(v, n) > 1 for v in vcut)
-    ecut = rep.witness_edge_cut
     assert len(set(ecut)) == len(ecut) == rep.delta
     assert all(u != w and u * w % n == 0 for u, w in ecut)
+
+
+def test_quotient_report_ignores_class_order():
+    # analyze passes the classes in the order divisor_classes makes them
+    for n in [*range(4, 1501), *_MANY_CLASSES]:
+        f = factorize(n)
+        if not f.is_composite():
+            continue
+        ascending = quotient_report(*build_compressed(n))
+        classes = divisor_classes(f)
+        assert quotient_report(n, classes) == ascending, n
+        assert quotient_report(n, _shuffled(classes, n)) == ascending, n
 
 
 def test_deterministic_output():

@@ -16,6 +16,7 @@ from zdg.graphs import (
     class_members,
     compress,
     degree_profile,
+    divisor_classes,
     export_dot,
     graph_size,
 )
@@ -148,6 +149,13 @@ def test_compressed_class_sizes_are_totients():
         assert [d for d, _ in c.classes] == divisors(n)[1:-1]
         for d, size in c.classes:
             assert size == totient(n // d)
+
+
+def test_divisor_classes_unsorted():
+    # the prime-power product order, which analyze uses as it comes
+    assert divisor_classes(factorize(12)) == [(3, 2), (2, 2), (6, 1), (4, 2)]
+    for n in (1, 2, 3, 13):
+        assert divisor_classes(factorize(n)) == []
 
 
 def test_degree_profile_z27():

@@ -151,9 +151,9 @@ def test_refused_rows_pinned():
 
 def test_refused_analyze_builds_no_classes(monkeypatch):
     def refuse(f):
-        raise AssertionError(f"compress({f.n}) called")
+        raise AssertionError(f"divisor_classes({f.n}) called")
 
-    monkeypatch.setattr(harness, "compress", refuse)
+    monkeypatch.setattr(harness, "divisor_classes", refuse)
     for n in (10**6, 963761198400):
         assert analyze(n).skip_reason == "ResourceLimit"
 
