@@ -1,8 +1,8 @@
 """Ordered chunk runner: a function over consecutive chunks of a range.
 
-With more than one worker the calling process is worker 0 and
-multiprocessing children are the others, each sending its results down
-its own pipe.  multiprocessing is imported only then.
+The calling process is worker 0 and multiprocessing children are the
+others, each sending its results down its own pipe.  With one worker no
+child starts, and multiprocessing is not imported.
 """
 from __future__ import annotations
 
@@ -45,14 +45,11 @@ def _chunks(starts: range, size: int, stop: int) -> Iterator[range]:
 
 
 def _run(fn, starts: range, size: int, stop: int, workers: int) -> Iterator:
-    if workers == 1:
-        yield from map(fn, _chunks(starts, size, stop))
-        return
-    import multiprocessing
-
     pipes, children = [], []
     try:
-        for w in range(1, workers):
+        for w in range(1, workers):  # no child, so no import, at one worker
+            import multiprocessing
+
             reader, writer = multiprocessing.Pipe(duplex=False)
             pipes.append(reader)
             child = multiprocessing.Process(

@@ -11,7 +11,7 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .errors import NoZeroDivisorsError, ResourceLimitError
+from .errors import ResourceLimitError
 from .graphs import build_explicit, export_dot
 from .harness import (
     analyze, audit_chunks, csv_chunk, render, summary, sweep_text,
@@ -47,11 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = commands.add_parser("analyze", help="audit a single n")
     p_analyze.add_argument("--n", type=int, required=True)
     _add_options(p_analyze, "format", "output")
+    p_analyze.set_defaults(run=_cmd_analyze)
 
     p_sweep = commands.add_parser("sweep", help="audit a whole range")
     p_sweep.add_argument("--from", dest="start", type=int, required=True)
     p_sweep.add_argument("--to", dest="stop", type=int, required=True)
     _add_options(p_sweep, "format", "output", "jobs")
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_audit = commands.add_parser(
         "audit", help="sweep a range, print offenders and a verdict"
@@ -59,6 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--from", dest="start", type=int, required=True)
     p_audit.add_argument("--to", dest="stop", type=int, required=True)
     _add_options(p_audit, "output", "jobs")
+    p_audit.set_defaults(run=_cmd_audit)
 
     p_dot = commands.add_parser("export-dot", help="emit Graphviz DOT text")
     p_dot.add_argument("--n", type=int, required=True)
@@ -67,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fill vertices by divisor class",
     )
     _add_options(p_dot, "output")
+    p_dot.set_defaults(run=_cmd_export_dot)
 
     return parser
 
@@ -115,14 +119,6 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "sweep": _cmd_sweep,
-    "audit": _cmd_audit,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -131,11 +127,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage and 0 on --help; fold usage into 1
         return 0 if exit_.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except BrokenPipeError:  # the reader hung up; the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (NoZeroDivisorsError, ResourceLimitError, ValueError, OSError) as err:
+    except (ResourceLimitError, ValueError, OSError) as err:
         print(f"zdg: error: {err}", file=sys.stderr)
         return 1
 

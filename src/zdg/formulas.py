@@ -2,9 +2,9 @@
 
 For composite n the three quantities (vertex connectivity, edge
 connectivity, minimum degree) coincide and depend only on the smallest
-prime factor, except that n = p^2 drops one lower because the graph is
-complete on p - 1 vertices.  Each prediction carries a branch tag naming
-the closed form that produced it, so audits can report which branch fired.
+prime p, except that n = p^2 drops one lower: its graph is complete on
+p - 1 vertices.  predict tags each value with its closed form, so audits
+can report which branch fired.  The witness is always multiples of n/p.
 """
 from __future__ import annotations
 
@@ -21,30 +21,27 @@ class Prediction(NamedTuple):
     theorem_tag: str
 
 
-def _require_composite(f: Factorization) -> None:
-    if not f.is_composite():
-        raise NoZeroDivisorsError(
-            f"no prediction for n={f.n}: Z_n has no nonzero zero divisors"
-        )
-
-
 def predict(f: Factorization) -> tuple[int, tuple[str, str, str]]:
     """The common value of delta, kappa_e and kappa, and the tags of the
-    closed forms that give each, in that order.
+    closed forms that give each, in that order.  One case split on the
+    shape of n's factorization; n = 1 and n prime raise NoZeroDivisorsError.
 
-    The prime-square case takes precedence over the multi-branch general
-    form; applying the general minimum-over-primes rule to p^2 would
-    overshoot by one, since the graph there is complete.
+    The p^2 case comes before the p^a, a >= 3, case, whose p - 1 would
+    overshoot by one on the complete graph of p^2.
     """
-    _require_composite(f)
-    factors = f.factors
-    if len(factors) == 1:
-        p, a = factors[0]
-        if a == 2:
+    match f.factors:
+        case () | ((_, 1),):
+            raise NoZeroDivisorsError(
+                f"no prediction for n={f.n}: Z_n has no nonzero zero divisors"
+            )
+        case ((p, 2),):
             return p - 2, ("T4.5", "T4.1", "T3.1")
-        return p - 1, ("T4.5", "T4.2", "T3.2-3.3")
-    vertex_tag = "T3.4" if len(factors) == 2 else "T3.5"
-    return factors[0][0] - 1, ("T4.5", "T4.3", vertex_tag)  # smallest prime
+        case ((p, _),):
+            return p - 1, ("T4.5", "T4.2", "T3.2-3.3")
+        case ((p, _), _):
+            return p - 1, ("T4.5", "T4.3", "T3.4")
+        case ((p, _), *_):  # p is the smallest prime
+            return p - 1, ("T4.5", "T4.3", "T3.5")
 
 
 def predict_vertex_connectivity(f: Factorization) -> Prediction:
@@ -68,19 +65,12 @@ def predict_min_degree(f: Factorization) -> Prediction:
 def witness_cut(f: Factorization) -> tuple[int, ...]:
     """A vertex cut realizing the predicted vertex connectivity, ascending.
 
-    n = p^2: the p - 2 smallest vertices of the complete graph (deleting
-    them leaves K_1).  n = p^k, k >= 3: the multiples of p^(k-1), whose
-    removal strands every vertex with a single prime factor of p.  Several
-    primes: the class of multiples of n/p for the smallest prime p, whose
-    removal isolates the vertices sharing only p with n.
+    The first predict(f) nonzero multiples of n/p, p the smallest prime:
+    the class quotient_report names as cut_class.  Several primes or
+    n = p^k, k >= 3: all p - 1 of them, the whole neighborhood of the
+    vertex p, so deleting them isolates it.  n = p^2: p - 2 of the p - 1
+    vertices of the complete graph, leaving K_1.
     """
-    _require_composite(f)
-    factors = f.factors
-    if len(factors) == 1:
-        p, a = factors[0]
-        if a == 2:
-            return tuple(m * p for m in range(1, p - 1))
-        return tuple(m * p ** (a - 1) for m in range(1, p))
-    p = min(q for q, _ in factors)
-    d = f.n // p
-    return tuple(m * d for m in range(1, p))
+    count = predict(f)[0]  # refuses n = 1 and n prime first
+    d = f.n // f.factors[0][0]
+    return tuple(range(d, count * d + 1, d))

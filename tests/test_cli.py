@@ -317,6 +317,25 @@ def test_import_loads_no_pool_or_dataclasses(child_env):
     assert [m for m in added if m.startswith(heavy)] == []
 
 
+def test_serial_sweep_loads_no_multiprocessing(child_env):
+    # with one worker the runner starts no child, so nothing imports the pool
+    script = (
+        "import sys; from zdg import cli; "
+        "code = cli.main(['sweep', '--from', '4', '--to', '100']); "
+        "pool = sorted(m for m in sys.modules if m.startswith('multiprocessing')); "
+        "print(code, pool, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.stderr == "0 []\n"
+    assert proc.stdout.startswith("n,factorization,")
+    assert len(proc.stdout.splitlines()) == 98  # header and n = 4..100
+
+
 def test_results_survive_pickle():
     # sweep(jobs > 1) gets each chunk's rows from its worker processes
     # pickled; the CLI's workers send rendered text instead

@@ -25,6 +25,7 @@ from zdg.connectivity import (
 )
 from zdg.errors import ResourceLimitError
 from zdg.formulas import (
+    predict,
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
@@ -240,7 +241,14 @@ def test_residue_witnesses_pinned_to_60000():
             explicit_size(f)
         except ResourceLimitError:
             continue
-        vcut, ecut = residue_witnesses(quotient_report(*build_compressed(n)))
+        rep = quotient_report(*build_compressed(n))
+        # the engine's class witness is the closed form's: predict(f)
+        # multiples of n/p, p the smallest prime
+        p = f.factors[0][0]
+        assert (rep.root, rep.cut_class, rep.cut_count) == (
+            p, n // p, predict(f)[0]
+        ), n
+        vcut, ecut = residue_witnesses(rep)
         digest.update(f"{n}:{vcut}:{ecut}\n".encode())
     assert digest.hexdigest() == (
         "91a8af36aa8d7cd0b2331a8c71a8da8be97cb2707156c3a71406acc9b9a00384"

@@ -1,6 +1,7 @@
 """Closed-form connectivity predictions and their witness cuts."""
 from __future__ import annotations
 
+import hashlib
 from math import gcd
 
 import pytest
@@ -19,6 +20,8 @@ from zdg.formulas import (
     witness_cut,
 )
 from zdg.graphs import build_explicit
+
+from test_arith import HARD_INPUTS
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -92,18 +95,43 @@ def test_predict_gives_value_and_tag_triple():
 
 
 def test_non_composite_rejected():
+    refusers = (
+        predict,
+        predict_vertex_connectivity,
+        predict_edge_connectivity,
+        predict_min_degree,
+        witness_cut,
+    )
     for n in (1, 2, 3, 7, 97):
         f = factorize(n)
-        with pytest.raises(NoZeroDivisorsError):
-            predict(f)
-        with pytest.raises(NoZeroDivisorsError):
-            predict_vertex_connectivity(f)
-        with pytest.raises(NoZeroDivisorsError):
-            predict_edge_connectivity(f)
-        with pytest.raises(NoZeroDivisorsError):
-            predict_min_degree(f)
-        with pytest.raises(NoZeroDivisorsError):
-            witness_cut(f)
+        for refuser in refusers:
+            with pytest.raises(
+                NoZeroDivisorsError, match=f"^no prediction for n={n}: "
+            ):
+                refuser(f)
+
+
+def test_closed_forms_pinned():
+    # sha256 of predict's value and tags, or its refusal, on 1..10^5 and
+    # the hard inputs, and of witness_cut on the composites up to 10^5, as
+    # recorded while predict and witness_cut each made their own case split
+    predicted, cuts = hashlib.sha256(), hashlib.sha256()
+    for n in [*range(1, 10**5 + 1), *HARD_INPUTS]:
+        f = factorize(n)
+        try:
+            value, tags = predict(f)
+        except NoZeroDivisorsError as err:
+            predicted.update(f"{n}:{err}\n".encode())
+            continue
+        predicted.update(f"{n}:{value}:{tags}\n".encode())
+        if n <= 10**5:
+            cuts.update(f"{n}:{witness_cut(f)}\n".encode())
+    assert predicted.hexdigest() == (
+        "001313b65db49a93430132201628701ebef040d2892389ff00ebd5e80c2fd1d4"
+    )
+    assert cuts.hexdigest() == (
+        "fd07250bf0bbcd9fe8d658dc601ce2baf6d1f5a3579bfbb54b9cc473d497288c"
+    )
 
 
 def test_witness_cut_values():
