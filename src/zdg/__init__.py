@@ -1,14 +1,6 @@
 """Zero-divisor graphs of Z_n: construction, exact connectivity, predictions."""
 
 from .arith import Factorization, factorize, format_factorization
-from .connectivity import (
-    ConnectivityReport,
-    connectivity_report,
-    edge_connectivity,
-    min_degree,
-    quotient_report,
-    vertex_connectivity,
-)
 from .errors import NoZeroDivisorsError, ResourceLimitError
 from .formulas import (
     Prediction,
@@ -27,6 +19,7 @@ from .graphs import (
     class_members,
     degree_profile,
     export_dot,
+    quotient_report,
 )
 from .harness import AuditFinding, AuditResult, analyze, audit, render, sweep
 
@@ -36,7 +29,6 @@ __all__ = [
     "AuditFinding",
     "AuditResult",
     "CompressedZdg",
-    "ConnectivityReport",
     "DegreeProfile",
     "Factorization",
     "NoZeroDivisorsError",
@@ -48,13 +40,10 @@ __all__ = [
     "build_compressed",
     "build_explicit",
     "class_members",
-    "connectivity_report",
     "degree_profile",
-    "edge_connectivity",
     "export_dot",
     "factorize",
     "format_factorization",
-    "min_degree",
     "predict",
     "predict_edge_connectivity",
     "predict_min_degree",
@@ -62,6 +51,5 @@ __all__ = [
     "quotient_report",
     "render",
     "sweep",
-    "vertex_connectivity",
     "witness_cut",
 ]

@@ -1,18 +1,13 @@
-"""Exact connectivity of zero-divisor graphs.
+"""Exact connectivity of explicit graphs by max-flow: the flow oracle.
 
-Two engines compute the same numbers.
-
-The quotient engine (quotient_report) is the one analyze, sweep and audit
-run.  It takes the divisor classes in any order, never builds the graph
-and runs no flow: one pass over the classes certifies kappa = kappa_e =
-delta, since each class is a module, and names the witness cuts by class.
-residue_witnesses expands them to residues.
-
-The explicit engine (connectivity_report, vertex_connectivity,
-edge_connectivity) runs flows with unit vertex or edge capacities, by
-shortest augmenting paths, on the materialized graph and is the oracle the
-quotient engine is tested against.  A flow that ends below its cutoff leaves its last, failed search
-as the witness: the source side of the minimum cut closest to the source.
+This module reads no divisor-class structure and imports nothing from
+the rest of zdg, so it stays independent of the module argument the
+quotient engine (graphs.quotient_report) rests on; it is the oracle that
+engine is tested against.  connectivity_report, vertex_connectivity and
+edge_connectivity take an explicit graph and run flows with unit vertex
+or edge capacities, by shortest augmenting paths.  A flow that ends below its cutoff leaves its
+last, failed search as the witness: the source side of the minimum cut
+closest to the source.
 Vertex connectivity is the Menger minimum over a sufficient pair family
 rooted at a minimum-degree vertex (its non-neighbors, plus non-adjacent
 pairs inside its neighborhood).  Edge connectivity is the minimum of s-t
@@ -26,10 +21,7 @@ minimum; the returned values are exactly the Menger minima either way.
 """
 from __future__ import annotations
 
-from collections.abc import Collection
 from typing import NamedTuple
-
-from .graphs import _class_degree, class_members
 
 
 class _View:
@@ -415,88 +407,4 @@ def connectivity_report(g) -> ConnectivityReport:
         kappa=kappa,
         witness_vertex_cut=vertex_cut,
         witness_edge_cut=edge_cut,
-    )
-
-
-class QuotientReport(NamedTuple):
-    """quotient_report's values, with its witness named by class.
-
-    root is the smallest class of degree delta.  The edge cut joins the
-    residue root to its neighbors, the other members of class cut_class =
-    n/root, and cut_count = delta members of that class are the vertex cut
-    (for n = p^2 that class is the whole, complete graph).
-    residue_witnesses expands both cuts to residues.
-    """
-
-    n: int
-    num_vertices: int
-    num_edges: int
-    delta: int
-    kappa_e: int
-    kappa: int
-    root: int
-    cut_class: int
-    cut_count: int
-
-
-def residue_witnesses(
-    rep: QuotientReport,
-) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """rep's vertex and edge cut in residues, in connectivity_report's form."""
-    members = class_members(rep.n, rep.cut_class)
-    edges = (_sorted_edge(rep.root, v) for v in members if v != rep.root)
-    return tuple(members[: rep.cut_count]), tuple(sorted(edges))
-
-
-def quotient_report(n: int, classes: Collection[tuple[int, int]]) -> QuotientReport:
-    """delta, kappa_e and kappa of Z_n's zero-divisor graph from its classes.
-
-    classes holds (d, size) for the proper divisors d of n, in any order.
-    No flow runs and no class adjacency is built.  Each class is a module:
-    its members are twins, and it is an independent set or a clique
-    (Anderson & Livingston, J. Algebra 217, 1999).  A minimum separator of
-    non-adjacent u and v is therefore their shared neighborhood (u, v in
-    one class, size >= delta) or a nonempty union of whole classes (size
-    >= the smallest class).  So once the class graph is certified
-    connected and no class is smaller than delta, kappa >= delta; the
-    root's star gives kappa <= delta, and Whitney's chain kappa <= kappa_e
-    <= delta gives kappa_e = delta.  A complete graph (n = p^2, or K_1 at
-    n = 4) has kappa = delta = m - 1 on m vertices.  Raises RuntimeError,
-    naming the smallest class at fault, when a certificate fails.  The
-    witness is returned by class (QuotientReport).
-
-    Connectedness goes through the hub L = n/p, p the smallest class.
-    Classes d and e are adjacent when n | d*e, so a class d != L is joined
-    to L directly when n | d*L, and otherwise through the class n/d.
-    """
-    present = {d for d, _ in classes}
-    hub = n // min(present)
-    num_vertices = ends = 0
-    delta = smallest = root = stranded = n  # above every degree, size, class
-    for d, size in classes:
-        degree = _class_degree(n, d)
-        num_vertices += size
-        ends += size * degree
-        if degree < delta or degree == delta and d < root:
-            delta, root = degree, d
-        if size < smallest:
-            smallest = size
-        if d != hub and not (
-            hub in present
-            and (d * hub % n == 0 or n // d in present and n // d * hub % n == 0)
-        ) and d < stranded:
-            stranded = d
-    if stranded < n:
-        raise RuntimeError(
-            f"n={n}: class {stranded} reaches class {hub} neither directly nor "
-            f"through class {n // stranded}, so connectedness is not certified"
-        )
-    if delta != num_vertices - 1 and smallest < delta:  # K_m has no separator
-        small_class = min(d for d, size in classes if size == smallest)
-        raise RuntimeError(
-            f"n={n}: smallest class {small_class} has size {smallest} < "
-            f"delta={delta}, so kappa = delta is not certified"
-        )
-    return QuotientReport(
-        n, num_vertices, ends // 2, delta, delta, delta, root, n // root, delta
     )

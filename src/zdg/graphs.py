@@ -11,10 +11,16 @@ Sizes and degrees therefore come from the factorization of n alone and
 cost time linear in the number of divisors of n, for any n up to
 2^63 - 1, without touching individual residues.  The graph's size takes
 O(primes) (graph_size), so the explicit-graph guard builds no class.
+
+The quotient engine (quotient_report) lives here, as it reads only this
+class rule; analyze, sweep and audit run it.  One pass over the classes,
+in any order, certifies kappa = kappa_e = delta, since each class is a
+module, and names the witness cuts by class (residue_witnesses expands
+them).  It builds no graph and runs no flow; connectivity is its oracle.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from math import gcd
 from typing import NamedTuple
 
@@ -100,12 +106,16 @@ def divisor_classes(f: Factorization) -> list[tuple[int, int]]:
     return pairs[1:-1]  # the product makes d = 1 first and d = n last
 
 
+def _no_zero_divisors(n: int) -> NoZeroDivisorsError:
+    return NoZeroDivisorsError(
+        f"Z_{n} has no nonzero zero divisors; need composite n >= 4"
+    )
+
+
 def compress(f: Factorization) -> CompressedZdg:
     """build_compressed for an n whose factorization is already known."""
     if not f.is_composite():
-        raise NoZeroDivisorsError(
-            f"Z_{f.n} has no nonzero zero divisors; need composite n >= 4"
-        )
+        raise _no_zero_divisors(f.n)
     return CompressedZdg(f.n, tuple(sorted(divisor_classes(f))))
 
 
@@ -122,6 +132,93 @@ def degree_profile(c: CompressedZdg) -> DegreeProfile:
 def class_members(n: int, d: int) -> list[int]:
     """Residues v in (0, n) with gcd(v, n) = d, ascending."""
     return [v for v in range(d, n, d) if gcd(v // d, n // d) == 1]
+
+
+class QuotientReport(NamedTuple):
+    """quotient_report's values, with its witness named by class.
+
+    root is the smallest class of degree delta.  The edge cut joins the
+    residue root to its neighbors, the other members of class cut_class =
+    n/root, and cut_count = delta members of that class are the vertex cut
+    (for n = p^2 that class is the whole, complete graph).
+    residue_witnesses expands both cuts to residues.
+    """
+
+    n: int
+    num_vertices: int
+    num_edges: int
+    delta: int
+    kappa_e: int
+    kappa: int
+    root: int
+    cut_class: int
+    cut_count: int
+
+
+def residue_witnesses(
+    rep: QuotientReport,
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """rep's vertex and edge cut in residues, in connectivity_report's form."""
+    members, r = class_members(rep.n, rep.cut_class), rep.root
+    edges = ((min(r, v), max(r, v)) for v in members if v != r)
+    return tuple(members[: rep.cut_count]), tuple(sorted(edges))
+
+
+def quotient_report(n: int, classes: Collection[tuple[int, int]]) -> QuotientReport:
+    """delta, kappa_e and kappa of Z_n's zero-divisor graph from its classes.
+
+    classes holds (d, size) for the proper divisors d of n, in any order.
+    No flow runs and no class adjacency is built.  Each class is a module:
+    its members are twins, and it is an independent set or a clique
+    (Anderson & Livingston, J. Algebra 217, 1999).  A minimum separator of
+    non-adjacent u and v is therefore their shared neighborhood (u, v in
+    one class, size >= delta) or a nonempty union of whole classes (size
+    >= the smallest class).  So once the class graph is certified
+    connected and no class is smaller than delta, kappa >= delta; the
+    root's star gives kappa <= delta, and Whitney's chain kappa <= kappa_e
+    <= delta gives kappa_e = delta.  A complete graph (n = p^2, or K_1 at
+    n = 4) has kappa = delta = m - 1 on m vertices.  Raises RuntimeError,
+    naming the smallest class at fault, when a certificate fails, and
+    NoZeroDivisorsError when there is no class (n = 1 or n prime).  The
+    witness is returned by class (QuotientReport).
+
+    Connectedness goes through the hub L = n/p, p the smallest class.
+    Classes d and e are adjacent when n | d*e, so a class d != L is joined
+    to L directly when n | d*L, and otherwise through the class n/d.
+    """
+    present = {d for d, _ in classes}
+    if not present:
+        raise _no_zero_divisors(n)
+    hub = n // min(present)
+    num_vertices = ends = 0
+    delta = smallest = root = stranded = n  # above every degree, size, class
+    for d, size in classes:
+        degree = _class_degree(n, d)
+        num_vertices += size
+        ends += size * degree
+        if degree < delta or degree == delta and d < root:
+            delta, root = degree, d
+        if size < smallest:
+            smallest = size
+        if d != hub and not (
+            hub in present
+            and (d * hub % n == 0 or n // d in present and n // d * hub % n == 0)
+        ) and d < stranded:
+            stranded = d
+    if stranded < n:
+        raise RuntimeError(
+            f"n={n}: class {stranded} reaches class {hub} neither directly nor "
+            f"through class {n // stranded}, so connectedness is not certified"
+        )
+    if delta != num_vertices - 1 and smallest < delta:  # K_m has no separator
+        small_class = min(d for d, size in classes if size == smallest)
+        raise RuntimeError(
+            f"n={n}: smallest class {small_class} has size {smallest} < "
+            f"delta={delta}, so kappa = delta is not certified"
+        )
+    return QuotientReport(
+        n, num_vertices, ends // 2, delta, delta, delta, root, n // root, delta
+    )
 
 
 def graph_size(f: Factorization) -> tuple[int, int]:

@@ -1,7 +1,7 @@
 """Sweep and audit machinery: computed connectivity vs closed-form predictions.
 
 A finding is one row of the audit table.  Each composite n is analysed in
-one pass over its unsorted divisor classes (connectivity.quotient_report),
+one pass over its unsorted divisor classes (graphs.quotient_report),
 building no explicit graph and no residue witness.  Rows for n with no
 zero-divisor graph (n prime, n <= 3) or past the explicit-graph size guard
 carry a skip reason and no values.  The guard counts from the factorization
@@ -21,10 +21,9 @@ from functools import partial
 from typing import NamedTuple
 
 from .arith import factorize, format_factorization
-from .connectivity import quotient_report
 from .errors import ResourceLimitError
 from .formulas import predict
-from .graphs import divisor_classes, explicit_size
+from .graphs import divisor_classes, explicit_size, quotient_report
 
 
 class AuditFinding(NamedTuple):
@@ -56,7 +55,8 @@ def analyze(n: int) -> AuditFinding:
     same n are refused as by build_explicit and a refused n builds no
     class.  Then quotient_report takes the classes of the one factorization
     in the order divisor_classes makes them.  Raises RuntimeError naming n
-    if the guard's closed-form counts differ from the classes' sums.
+    if the guard's closed-form counts differ from the classes' sums, or if
+    its witness is not kappa members of class n/p, p the least prime.
     """
     f = factorize(n)  # validates the 64-bit range
     ftext = format_factorization(f)
@@ -72,6 +72,12 @@ def analyze(n: int) -> AuditFinding:
             f"n={n}: closed form gives {num_vertices} vertices and "
             f"{num_edges} edges, class sums give {rep.num_vertices} and "
             f"{rep.num_edges}"
+        )
+    witness = (n // f.factors[0][0], rep.kappa)
+    if (rep.cut_class, rep.cut_count) != witness:
+        raise RuntimeError(
+            f"n={n}: the engine's witness (cut_class, cut_count) is "
+            f"{(rep.cut_class, rep.cut_count)}, not n/p and kappa {witness}"
         )
     value, tags = predict(f)
     return AuditFinding(

@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from zdg.cli import main
-from zdg.connectivity import quotient_report
-from zdg.graphs import build_compressed, build_explicit, export_dot
+from zdg.graphs import build_compressed, build_explicit, export_dot, quotient_report
 from zdg.harness import CSV_HEADER, analyze, render_csv, sweep
 
 
@@ -313,17 +312,24 @@ def test_import_loads_no_pool_or_dataclasses(child_env):
     assert proc.returncode == 0, proc.stderr
     added = json.loads(proc.stdout)
     assert "zdg.cli" in added
-    heavy = ("multiprocessing", "concurrent.futures", "dataclasses")
+    heavy = (
+        "multiprocessing", "concurrent.futures", "dataclasses", "zdg.connectivity"
+    )
     assert [m for m in added if m.startswith(heavy)] == []
 
 
 def test_serial_sweep_loads_no_multiprocessing(child_env):
-    # with one worker the runner starts no child, so nothing imports the pool
+    # with one worker the runner starts no child, so nothing imports the
+    # pool; and no command of the pipeline loads the flow oracle
     script = (
-        "import sys; from zdg import cli; "
+        "import os, sys; from zdg import cli; "
         "code = cli.main(['sweep', '--from', '4', '--to', '100']); "
-        "pool = sorted(m for m in sys.modules if m.startswith('multiprocessing')); "
-        "print(code, pool, file=sys.stderr)"
+        "quiet = ['--output', os.devnull]; "
+        "codes = [code, cli.main(['audit', '--from', '4', '--to', '100', *quiet]), "
+        "cli.main(['analyze', '--n', '105', *quiet])]; "
+        "heavy = ('multiprocessing', 'zdg.connectivity'); "
+        "loaded = sorted(m for m in sys.modules if m.startswith(heavy)); "
+        "print(codes, loaded, file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -331,7 +337,7 @@ def test_serial_sweep_loads_no_multiprocessing(child_env):
         text=True,
         env=child_env,
     )
-    assert proc.stderr == "0 []\n"
+    assert proc.stderr == "[0, 0, 0] []\n"
     assert proc.stdout.startswith("n,factorization,")
     assert len(proc.stdout.splitlines()) == 98  # header and n = 4..100
 

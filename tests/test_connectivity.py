@@ -1,11 +1,13 @@
 """Connectivity: flow-based exact values, brute-force cross-checks, witnesses."""
 from __future__ import annotations
 
+import ast
 import hashlib
 import random
 import time
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,8 +21,6 @@ from zdg.connectivity import (
     connectivity_report,
     edge_connectivity,
     min_degree,
-    quotient_report,
-    residue_witnesses,
     vertex_connectivity,
 )
 from zdg.errors import ResourceLimitError
@@ -35,6 +35,8 @@ from zdg.graphs import (
     build_explicit,
     divisor_classes,
     explicit_size,
+    quotient_report,
+    residue_witnesses,
 )
 
 from brute import _alive_connected, _brute_kappa, _brute_kappa_e
@@ -61,6 +63,20 @@ composite_mid = st.integers(min_value=4, max_value=300).filter(
 def test_empty_graph_rejected(entry):
     with pytest.raises(ValueError, match="^graph has no vertices$"):
         entry(SimpleNamespace(n=0, vertices=(), adjacency={}))
+
+
+def test_flow_oracle_imports_nothing_from_zdg():
+    # the oracle stays independent of the class rule the quotient engine
+    # rests on because it cannot import it
+    tree = ast.parse(Path(connectivity.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    internal = [m for m in imported if m.startswith((".", "zdg.")) or m == "zdg"]
+    assert internal == []
 
 
 def test_min_degree():
@@ -281,8 +297,7 @@ def test_quotient_check_survives_optimize(run_optimized):
     proc = run_optimized(
         "import sys\n"
         "import random\n"
-        "from zdg.connectivity import quotient_report\n"
-        "from zdg.graphs import build_compressed\n"
+        "from zdg.graphs import build_compressed, quotient_report\n"
         "c = build_compressed(105)\n"
         "sizes = [(d, 1 if d == 21 else k) for d, k in c.classes]\n"
         "random.Random(0).shuffle(sizes)\n"

@@ -19,6 +19,7 @@ from zdg.graphs import (
     divisor_classes,
     export_dot,
     graph_size,
+    quotient_report,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -60,6 +61,13 @@ def test_no_zero_divisors_rejected():
             build_explicit(n)
         with pytest.raises(NoZeroDivisorsError):
             build_compressed(n)
+    # the quotient engine refuses an empty class list with compress's text
+    for n, classes in ((7, divisor_classes(factorize(7))), (1, [])):
+        with pytest.raises(NoZeroDivisorsError) as err:
+            quotient_report(n, classes)
+        assert str(err.value) == (
+            f"Z_{n} has no nonzero zero divisors; need composite n >= 4"
+        )
 
 
 def test_out_of_range_rejected():

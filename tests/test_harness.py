@@ -178,6 +178,33 @@ def test_size_cross_check_survives_optimize(run_optimized):
     )
 
 
+@pytest.mark.parametrize(
+    "plant, witness",
+    [("cut_count=rep.cut_count - 1", (35, 1)), ("cut_class=15", (15, 2))],
+)
+def test_witness_check_survives_optimize(run_optimized, plant, witness):
+    # a witness one member short, or in the wrong class, must fail analyze
+    # even where asserts are stripped
+    proc = run_optimized(
+        "import sys\n"
+        "from zdg import harness\n"
+        "report = harness.quotient_report\n"
+        "def planted(n, classes):\n"
+        "    rep = report(n, classes)\n"
+        f"    return rep._replace({plant})\n"
+        "harness.quotient_report = planted\n"
+        "try:\n"
+        "    harness.analyze(105)\n"
+        "except RuntimeError as err:\n"
+        "    print(sys.flags.optimize, err)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        f"1 n=105: the engine's witness (cut_class, cut_count) is {witness}, "
+        "not n/p and kappa (35, 2)\n"
+    )
+
+
 def test_flow_oracle_builds_no_explicit_graph(monkeypatch):
     expected = sweep(4, 200)
 
