@@ -2,15 +2,19 @@
 
 Everything here is exact integer math on any n in [1, 2^63 - 1].
 factorize trial-divides by the primes below 1000, which completely factors
-every n below 10^6.  A larger cofactor is tested with deterministic
-Miller-Rabin and split with Pollard-Brent rho, so the worst 64-bit inputs
-(balanced semiprimes and squares of primes near 3e9) take well under a
-second.
+every n below 10^6.  It stops at n's last prime below 1000: small, the
+product of the primes below 1000 that divide n (gcd(n, _PRIMORIAL)), is
+divided by each prime found, and the loop ends once it is 1.  A larger
+cofactor is tested with deterministic Miller-Rabin, which stops at the
+first tier psi_t above it (OEIS A014233, see _is_prime).  A square
+cofactor is split at its square root and any other composite by
+Pollard-Brent rho, so the worst 64-bit inputs (balanced semiprimes near
+3e9) take well under a second.
 """
 from __future__ import annotations
 
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 _MAX_N = 2**63 - 1
@@ -32,9 +36,23 @@ def _primes_below(bound: int) -> tuple[int, ...]:
 _TRIAL_BOUND = 1000
 _PRIME_BELOW = _TRIAL_BOUND**2
 _SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
-# Miller-Rabin on the first 12 primes as bases is exact below their least
-# strong pseudoprime, ~3.18e23 > 2^63 (Sorenson & Webster, Math. Comp. 86, 2017).
+_PRIMORIAL = prod(_SMALL_PRIMES)
+# Miller-Rabin on the first t of _MR_BASES is exact below _MR_PSI[t - 1].
 _MR_BASES = _SMALL_PRIMES[:12]
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 # Pollard-Brent folds this many differences into one product per gcd.
 _RHO_BATCH = 128
 
@@ -62,13 +80,17 @@ def _check_range(n: int) -> None:
 def factorize(n: int) -> Factorization:
     """Factor n: divide out the primes below 1000, split the rest by rho.
 
-    Deterministic, with no randomness: Miller-Rabin uses fixed bases and
-    the rho walks fixed sequences.  factorize(1) has an empty factor list.
-    Raises RuntimeError naming n if the prime powers found do not multiply
-    back to n.
+    Trial division stops at n's last prime below 1000, or once p^2
+    exceeds the cofactor.  Deterministic, with no randomness: Miller-Rabin
+    uses fixed bases and the rho walks fixed sequences.  factorize(1) has
+    an empty factor list.  Raises RuntimeError naming n if the prime powers
+    found do not multiply back to n.
     """
     _check_range(n)
     m = n
+    # a multiple of the primes below 1000 that still divide m; below
+    # _PRIME_BELOW the p * p > m exit comes first, so the gcd is not paid
+    small = gcd(n, _PRIMORIAL) if n >= _PRIME_BELOW else n
     factors: list[tuple[int, int]] = []
     for p in _SMALL_PRIMES:
         if m % p == 0:
@@ -77,6 +99,9 @@ def factorize(n: int) -> Factorization:
                 m //= p
                 e += 1
             factors.append((p, e))
+            small //= p
+            if small == 1:
+                break
         if p * p > m:
             break
     if m >= _PRIME_BELOW:
@@ -97,33 +122,44 @@ def factorize(n: int) -> Factorization:
 def _split(m: int, out: list[int]) -> None:
     """Append the prime factors of m, with multiplicity, to out.
 
-    m has no prime factor below _TRIAL_BOUND.
+    m has no prime factor below _TRIAL_BOUND.  A square is split at its
+    root, where rho would need about sqrt(p) steps on p^2.
     """
     if m < _PRIME_BELOW or _is_prime(m):
         out.append(m)
         return
-    d = _pollard_brent(m)
+    r = isqrt(m)
+    d = r if r * r == m else _pollard_brent(m)
     _split(d, out)
     _split(m // d, out)
 
 
 def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin for odd m > _MR_BASES[-1], m < 3.18e23."""
+    """Deterministic Miller-Rabin for odd m with 3 <= m < psi_12 ~ 3.18e23.
+
+    psi_t is the least strong pseudoprime to the first t prime bases (OEIS
+    A014233): psi_1..psi_8 from Jaeschke (Math. Comp. 61, 1993),
+    psi_9..psi_11 from Jiang & Deng (Math. Comp. 83, 2014) and psi_12 from
+    Sorenson & Webster (Math. Comp. 86, 2017).  So once the first t bases
+    pass and m < psi_t, m is prime: m < 2047 needs base 2 alone, a cofactor
+    near 10^13 six or seven bases, and no 64-bit m more than twelve.
+    """
     d = m - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _MR_PSI):
         x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != m - 1:
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        if m < psi:
+            return True
     return True
 
 

@@ -8,10 +8,11 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from sympy import factorint, isprime, primerange
+from sympy import factorint, isprime, nextprime, primerange
 
 from zdg.arith import (
     _MR_BASES,
+    _MR_PSI,
     Factorization,
     _is_prime,
     factorize,
@@ -61,9 +62,17 @@ def test_format_factorization():
 
 
 def test_factorize_large_square():
-    p = 1000003
-    f = factorize(p * p)
-    assert f.factors == ((p, 2),)
+    # squares split at their root: rho alone needs about sqrt(p) steps on p^2
+    for p in (1000003, 2147483647, 3037000493):
+        runs = [_timed_factorize(p * p) for _ in range(3)]
+        assert runs[0][0].factors == ((p, 2),)
+        assert min(elapsed for _, elapsed in runs) < 0.005, p
+
+
+def _timed_factorize(n):
+    t0 = time.perf_counter()
+    f = factorize(n)
+    return f, time.perf_counter() - t0
 
 
 def test_factorize_prime_squares_near_trial_bound():
@@ -93,11 +102,41 @@ HARD_INPUTS = [
 
 @pytest.mark.parametrize("n", HARD_INPUTS)
 def test_factorize_hard_inputs(n):
-    t0 = time.perf_counter()
-    f = factorize(n)
-    elapsed = time.perf_counter() - t0
+    f, elapsed = _timed_factorize(n)
     assert f.factors == tuple(sorted(factorint(n).items()))
     assert elapsed < 1.0
+
+
+def test_factorize_trial_division_exit():
+    # trial division ends once every prime below 1000 dividing n is out;
+    # each n >= 10^6 is shaped so that an exit one prime or one power
+    # early would show
+    big = [1000003, 2147483647, 999999000001]
+    cases = [2 * q for q in big]  # nothing small left after 2
+    cases += [991 * 997 * q for q in big]  # the last small prime ends the table
+    cases += [p * p * q for p in (2, 3, 31, 991, 997) for q in big]  # p twice in m
+    cases += [math.prod(primerange(2, 42)) * 997]  # 43# * 997 exceeds 2^63 - 1
+    for n in cases:
+        assert factorize(n).factors == tuple(sorted(factorint(n).items())), n
+
+
+def test_miller_rabin_psi_tiers():
+    # psi_t passes the first t bases, so a tier that stops at m <= psi_t,
+    # or one shifted by a dropped entry, calls it prime
+    for psi in _MR_PSI[:11]:
+        assert not _is_prime(psi), psi
+    # each band [psi_{t-1}, psi_t) is decided by its first t bases; most odd
+    # m are composite, so primes are added by nextprime
+    rng = random.Random(20261019)
+    lows = (3,) + _MR_PSI[:11]
+    for lo, hi in zip(lows, _MR_PSI):
+        if lo == hi:
+            continue
+        hi = min(hi, 2**63 - 1)
+        odd = [rng.randrange(lo, hi) | 1 for _ in range(200)]
+        sample = {lo, lo + 2, hi - 2, *odd, *(nextprime(m) for m in odd[:20])}
+        for m in sample:
+            assert _is_prime(m) == isprime(m), m
 
 
 def test_miller_rabin_bases_are_exact_only_below_psi12():
@@ -132,14 +171,13 @@ def test_factorize_check_survives_optimize(run_optimized):
         "from zdg import arith\n"
         "arith._pollard_brent = lambda m: 1000033\n"
         "try:\n"
-        "    arith.factorize(1000003**2)\n"
+        "    arith.factorize(1000003 * 1000037)\n"
         "except RuntimeError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "1 n=1000006000009: prime powers multiply to 1000005999109,"
-        " expected 1000006000009\n"
+        "1 n=1000040000111: prime powers multiply to 0, expected 1000040000111\n"
     )
 
 
