@@ -4,15 +4,18 @@ Everything here is exact integer math on any n in [1, 2^63 - 1].
 factorize trial-divides by the primes below 1000, which completely factors
 every n below 10^6.  It stops at n's last prime below 1000: small, the
 product of the primes below 1000 that divide n (gcd(n, _PRIMORIAL)), is
-divided by each prime found, and the loop ends once it is 1.  A larger
-cofactor is tested with deterministic Miller-Rabin, which stops at the
-first tier psi_t above it (OEIS A014233, see _is_prime).  A square
-cofactor is split at its square root and any other composite by
+divided by each prime found, and the loop ends once it is 1; when small
+is 1 from the start the loop is not entered.  A larger cofactor is tested
+with deterministic Miller-Rabin on the shortest base set proved exact
+below it (Jaeschke, Math. Comp. 61, 1993; see _is_prime).  A composite
+cofactor is split at its square root if it is a square, else at its gcd
+with the product of the primes between 1000 and 10^4, else by
 Pollard-Brent rho, so the worst 64-bit inputs (balanced semiprimes near
 3e9) take well under a second.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import count
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -37,22 +40,25 @@ _TRIAL_BOUND = 1000
 _PRIME_BELOW = _TRIAL_BOUND**2
 _SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
 _PRIMORIAL = prod(_SMALL_PRIMES)
-# Miller-Rabin on the first t of _MR_BASES is exact below _MR_PSI[t - 1].
-_MR_BASES = _SMALL_PRIMES[:12]
-_MR_PSI = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
+# Miller-Rabin on the bases of the first row whose bound exceeds m is exact.
+# Each bound is the least composite that is a strong probable prime to
+# every base in its row; where the bases are the first t primes it is
+# psi_t of OEIS A014233 (sources in _is_prime).
+_MR_TIERS = (
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (25326001, (2, 3, 5)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, _SMALL_PRIMES[:5]),
+    (3474749660383, _SMALL_PRIMES[:6]),
+    (341550071728321, _SMALL_PRIMES[:7]),
+    (3825123056546413051, _SMALL_PRIMES[:9]),
+    (318665857834031151167461, _SMALL_PRIMES[:12]),
 )
+# _split takes one gcd with the product of the primes in
+# (_TRIAL_BOUND, _GCD_BOUND) before it walks rho.
+_GCD_BOUND = 10**4
 # Pollard-Brent folds this many differences into one product per gcd.
 _RHO_BATCH = 128
 
@@ -81,7 +87,8 @@ def factorize(n: int) -> Factorization:
     """Factor n: divide out the primes below 1000, split the rest by rho.
 
     Trial division stops at n's last prime below 1000, or once p^2
-    exceeds the cofactor.  Deterministic, with no randomness: Miller-Rabin
+    exceeds the cofactor, and is skipped when no prime below 1000
+    divides n.  Deterministic, with no randomness: Miller-Rabin
     uses fixed bases and the rho walks fixed sequences.  factorize(1) has
     an empty factor list.  Raises RuntimeError naming n if the prime powers
     found do not multiply back to n.
@@ -92,18 +99,19 @@ def factorize(n: int) -> Factorization:
     # _PRIME_BELOW the p * p > m exit comes first, so the gcd is not paid
     small = gcd(n, _PRIMORIAL) if n >= _PRIME_BELOW else n
     factors: list[tuple[int, int]] = []
-    for p in _SMALL_PRIMES:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-            small //= p
-            if small == 1:
+    if small > 1:
+        for p in _SMALL_PRIMES:
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors.append((p, e))
+                small //= p
+                if small == 1:
+                    break
+            if p * p > m:
                 break
-        if p * p > m:
-            break
     if m >= _PRIME_BELOW:
         # every prime left exceeds those found so far, so order holds
         large: list[int] = []
@@ -123,33 +131,55 @@ def _split(m: int, out: list[int]) -> None:
     """Append the prime factors of m, with multiplicity, to out.
 
     m has no prime factor below _TRIAL_BOUND.  A square is split at its
-    root, where rho would need about sqrt(p) steps on p^2.
+    root, where rho would need about sqrt(p) steps on p^2.  Otherwise one
+    gcd with _mid_primorial() splits off m's primes below _GCD_BOUND,
+    which rho would find only after about sqrt(p) steps each; rho runs
+    when that gcd is 1 or m itself.
     """
     if m < _PRIME_BELOW or _is_prime(m):
         out.append(m)
         return
     r = isqrt(m)
-    d = r if r * r == m else _pollard_brent(m)
+    if r * r == m:
+        d = r
+    else:
+        d = gcd(m, _mid_primorial())
+        if d == 1 or d == m:
+            d = _pollard_brent(m)
     _split(d, out)
     _split(m // d, out)
+
+
+@cache
+def _mid_primorial() -> int:
+    """The product of the primes in (_TRIAL_BOUND, _GCD_BOUND), about 12.9k
+    bits, built on the first split that needs it rather than at import."""
+    return prod(p for p in _primes_below(_GCD_BOUND) if p > _TRIAL_BOUND)
 
 
 def _is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin for odd m with 3 <= m < psi_12 ~ 3.18e23.
 
-    psi_t is the least strong pseudoprime to the first t prime bases (OEIS
-    A014233): psi_1..psi_8 from Jaeschke (Math. Comp. 61, 1993),
-    psi_9..psi_11 from Jiang & Deng (Math. Comp. 83, 2014) and psi_12 from
-    Sorenson & Webster (Math. Comp. 86, 2017).  So once the first t bases
-    pass and m < psi_t, m is prime: m < 2047 needs base 2 alone, a cofactor
-    near 10^13 six or seven bases, and no 64-bit m more than twelve.
+    m is tested on the bases of the first _MR_TIERS row whose bound
+    exceeds it.  That bound is the least strong pseudoprime to those
+    bases, so a pass proves m prime.  The rows below psi_5 are Jaeschke's
+    (Math. Comp. 61, 1993): base 2 below 2047, (2, 7, 61) below
+    4759123141 and (2, 13, 23, 1662803) below 1122004669633.  Above
+    them the bases are the first t primes, exact below psi_t (OEIS
+    A014233): psi_5..psi_8 from Jaeschke, psi_9 from Jiang & Deng (Math.
+    Comp. 83, 2014) and psi_12 from Sorenson & Webster (Math. Comp. 86,
+    2017).  So a cofactor near 10^12 needs four bases, one near 10^13
+    six or seven, and no 64-bit m more than twelve.
     """
+    for bound, bases in _MR_TIERS:
+        if m < bound:
+            break
     d = m - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a, psi in zip(_MR_BASES, _MR_PSI):
+    for a in bases:
         x = pow(a, d, m)
         if x != 1 and x != m - 1:
             for _ in range(s - 1):
@@ -158,8 +188,6 @@ def _is_prime(m: int) -> bool:
                     break
             else:
                 return False
-        if m < psi:
-            return True
     return True
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime, primerange
 
+from zdg import arith
 from zdg.arith import (
-    _MR_BASES,
-    _MR_PSI,
+    _MR_TIERS,
     Factorization,
     _is_prime,
     factorize,
@@ -107,6 +109,10 @@ def test_factorize_hard_inputs(n):
     assert elapsed < 1.0
 
 
+def _factors_of(n):
+    return tuple(sorted(factorint(n).items()))
+
+
 def test_factorize_trial_division_exit():
     # trial division ends once every prime below 1000 dividing n is out;
     # each n >= 10^6 is shaped so that an exit one prime or one power
@@ -116,37 +122,95 @@ def test_factorize_trial_division_exit():
     cases += [991 * 997 * q for q in big]  # the last small prime ends the table
     cases += [p * p * q for p in (2, 3, 31, 991, 997) for q in big]  # p twice in m
     cases += [math.prod(primerange(2, 42)) * 997]  # 43# * 997 exceeds 2^63 - 1
+    cases += [1009 * 1000003, 1000003 * 2147483647]  # no prime below 1000
     for n in cases:
-        assert factorize(n).factors == tuple(sorted(factorint(n).items())), n
+        assert factorize(n).factors == _factors_of(n), n
+
+
+def test_factorize_gcd_split():
+    # _split takes one gcd with the primes in (1000, 10^4) before rho: a
+    # split at a wrong gcd, or one that keeps a square's second prime,
+    # would show here
+    cases = [q * r for q in (1009, 9973) for r in (1000003, 2147483647, 999999000001)]
+    cases += [1009 * 9973]  # the gcd is m itself, so rho splits it
+    cases += [p * p * r for p in (1009, 9973) for r in (1000003, 2147483647)]
+    cases += [1009 * 9973 * r for r in (1000003, 2147483647)]
+    for n in cases:
+        assert factorize(n).factors == _factors_of(n), n
+
+
+def test_factorize_gcd_split_needs_no_rho(monkeypatch):
+    def no_rho(m):
+        raise AssertionError(f"rho called on {m}")
+
+    monkeypatch.setattr(arith, "_pollard_brent", no_rho)
+    n = 9973 * 999999000001
+    assert factorize(n).factors == ((9973, 1), (999999000001, 1))
+    # when the gcd is m itself it splits nothing, and rho runs
+    with pytest.raises(AssertionError, match="rho called on 10062757"):
+        factorize(1009 * 9973)
+
+
+def test_mid_primorial_not_built_on_import(child_env):
+    # the product of the primes in (1000, 10^4) is built by the first split
+    # that needs it, so starting the CLI does not pay for it
+    script = (
+        "import zdg.cli; from zdg import arith; "
+        "print(arith._mid_primorial.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+    assert arith._mid_primorial() == math.prod(primerange(1001, 10**4))
+
+
+def _strong_probable_prime(m, a):
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
 
 
 def test_miller_rabin_psi_tiers():
-    # psi_t passes the first t bases, so a tier that stops at m <= psi_t,
-    # or one shifted by a dropped entry, calls it prime
-    for psi in _MR_PSI[:11]:
-        assert not _is_prime(psi), psi
-    # each band [psi_{t-1}, psi_t) is decided by its first t bases; most odd
-    # m are composite, so primes are added by nextprime
+    # each row's bound is a composite that passes every base in its row, so
+    # a row that reached up to it, or one raised past it, calls it prime
+    bounds = [bound for bound, _ in _MR_TIERS]
+    assert bounds == sorted(bounds)
+    for bound, bases in _MR_TIERS:
+        assert not isprime(bound), bound
+        assert all(_strong_probable_prime(bound, a) for a in bases), bound
+        if bound <= 2**63 - 1:
+            assert not _is_prime(bound), bound
+    # each band [previous bound, bound) is decided by its row's bases; most
+    # odd m are composite, so primes are added by nextprime
     rng = random.Random(20261019)
-    lows = (3,) + _MR_PSI[:11]
-    for lo, hi in zip(lows, _MR_PSI):
-        if lo == hi:
-            continue
+    for lo, hi in zip([3] + bounds, bounds):
         hi = min(hi, 2**63 - 1)
         odd = [rng.randrange(lo, hi) | 1 for _ in range(200)]
-        sample = {lo, lo + 2, hi - 2, *odd, *(nextprime(m) for m in odd[:20])}
+        ends = {lo - 2, lo, lo + 2, hi - 2, hi, hi + 2}
+        ends = {m for m in ends if 3 <= m < 2**63}
+        sample = {*ends, *odd, *(nextprime(m) for m in odd[:20])}
         for m in sample:
             assert _is_prime(m) == isprime(m), m
 
 
 def test_miller_rabin_bases_are_exact_only_below_psi12():
     # psi_12 (Sorenson & Webster, Math. Comp. 86, 2017) is the least
-    # composite that is a strong probable prime to all 12 bases, so the
-    # test is exact below it, which covers every 64-bit n
+    # composite that is a strong probable prime to the first 12 primes, so
+    # the last row is exact below it, which covers every 64-bit n
     psi12 = 318665857834031151167461
     p, q = 399165290221, 798330580441
     assert p * q == psi12 and isprime(p) and isprime(q)
-    assert _MR_BASES == tuple(primerange(2, 38))
+    assert _MR_TIERS[-1] == (psi12, tuple(primerange(2, 38)))
     assert _is_prime(psi12)
     assert psi12 > 2**63 - 1
 
