@@ -32,6 +32,8 @@ def chunked(fn, start: int, stop: int, *, jobs: int = 1) -> Iterator:
     _check_range(stop)
     if stop < start:
         raise ValueError(f"need 1 <= start <= stop, got [{start}, {stop}]")
+    if not isinstance(jobs, int) or isinstance(jobs, bool):
+        raise ValueError(f"jobs must be an int, got {type(jobs).__name__}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     length = stop - start + 1

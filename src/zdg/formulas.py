@@ -66,7 +66,7 @@ def witness_cut(f: Factorization) -> tuple[int, ...]:
     """A vertex cut realizing the predicted vertex connectivity, ascending.
 
     The first predict(f) nonzero multiples of n/p, p the smallest prime:
-    the class quotient_report names as cut_class.  Several primes or
+    the class n/root of quotient_report's witness.  Several primes or
     n = p^k, k >= 3: all p - 1 of them, the whole neighborhood of the
     vertex p, so deleting them isolates it.  n = p^2: p - 2 of the p - 1
     vertices of the complete graph, leaving K_1.

@@ -20,7 +20,7 @@ them).  It builds no graph and runs no flow; connectivity is its oracle.
 """
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Iterable, Iterator
 from math import gcd
 from typing import NamedTuple
 
@@ -137,10 +137,10 @@ def class_members(n: int, d: int) -> list[int]:
 class QuotientReport(NamedTuple):
     """quotient_report's values, with its witness named by class.
 
-    root is the smallest class of degree delta.  The edge cut joins the
-    residue root to its neighbors, the other members of class cut_class =
-    n/root, and cut_count = delta members of that class are the vertex cut
-    (for n = p^2 that class is the whole, complete graph).
+    root is the smallest class of degree delta, and it names both cuts.
+    The edge cut joins the residue root to its neighbors, the other
+    members of class n/root, and the first kappa members of that class are
+    the vertex cut (for n = p^2 that class is the whole, complete graph).
     residue_witnesses expands both cuts to residues.
     """
 
@@ -151,23 +151,21 @@ class QuotientReport(NamedTuple):
     kappa_e: int
     kappa: int
     root: int
-    cut_class: int
-    cut_count: int
 
 
 def residue_witnesses(
     rep: QuotientReport,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """rep's vertex and edge cut in residues, in connectivity_report's form."""
-    members, r = class_members(rep.n, rep.cut_class), rep.root
+    members, r = class_members(rep.n, rep.n // rep.root), rep.root
     edges = ((min(r, v), max(r, v)) for v in members if v != r)
-    return tuple(members[: rep.cut_count]), tuple(sorted(edges))
+    return tuple(members[: rep.kappa]), tuple(sorted(edges))
 
 
-def quotient_report(n: int, classes: Collection[tuple[int, int]]) -> QuotientReport:
+def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientReport:
     """delta, kappa_e and kappa of Z_n's zero-divisor graph from its classes.
 
-    classes holds (d, size) for the proper divisors d of n, in any order.
+    classes yields (d, size) once per proper divisor d of n, in any order.
     No flow runs and no class adjacency is built.  Each class is a module:
     its members are twins, and it is an independent set or a clique
     (Anderson & Livingston, J. Algebra 217, 1999).  A minimum separator of
@@ -180,12 +178,13 @@ def quotient_report(n: int, classes: Collection[tuple[int, int]]) -> QuotientRep
     n = 4) has kappa = delta = m - 1 on m vertices.  Raises RuntimeError,
     naming the smallest class at fault, when a certificate fails, and
     NoZeroDivisorsError when there is no class (n = 1 or n prime).  The
-    witness is returned by class (QuotientReport).
+    witness is returned as its root class (QuotientReport).
 
     Connectedness goes through the hub L = n/p, p the smallest class.
     Classes d and e are adjacent when n | d*e, so a class d != L is joined
     to L directly when n | d*L, and otherwise through the class n/d.
     """
+    classes = tuple(classes)  # walked more than once; an iterator only once
     present = {d for d, _ in classes}
     if not present:
         raise _no_zero_divisors(n)
@@ -216,9 +215,7 @@ def quotient_report(n: int, classes: Collection[tuple[int, int]]) -> QuotientRep
             f"n={n}: smallest class {small_class} has size {smallest} < "
             f"delta={delta}, so kappa = delta is not certified"
         )
-    return QuotientReport(
-        n, num_vertices, ends // 2, delta, delta, delta, root, n // root, delta
-    )
+    return QuotientReport(n, num_vertices, ends // 2, delta, delta, delta, root)
 
 
 def graph_size(f: Factorization) -> tuple[int, int]:

@@ -56,7 +56,7 @@ def analyze(n: int) -> AuditFinding:
     class.  Then quotient_report takes the classes of the one factorization
     in the order divisor_classes makes them.  Raises RuntimeError naming n
     if the guard's closed-form counts differ from the classes' sums, or if
-    its witness is not kappa members of class n/p, p the least prime.
+    the engine's witness is not rooted at p, the least prime.
     """
     f = factorize(n)  # validates the 64-bit range
     ftext = format_factorization(f)
@@ -73,11 +73,11 @@ def analyze(n: int) -> AuditFinding:
             f"{num_edges} edges, class sums give {rep.num_vertices} and "
             f"{rep.num_edges}"
         )
-    witness = (n // f.factors[0][0], rep.kappa)
-    if (rep.cut_class, rep.cut_count) != witness:
+    p = f.factors[0][0]
+    if rep.root != p:
         raise RuntimeError(
-            f"n={n}: the engine's witness (cut_class, cut_count) is "
-            f"{(rep.cut_class, rep.cut_count)}, not n/p and kappa {witness}"
+            f"n={n}: the engine's witness root is {rep.root}, not the least "
+            f"prime {p}"
         )
     value, tags = predict(f)
     return AuditFinding(
@@ -145,10 +145,9 @@ class AuditResult(NamedTuple):
         return summary(self.checked, len(self.mismatches))
 
 
-def _audit_chunk(render_rows, values: range):
+def _offenders(render_rows, rows):
     offenders, checked = [], 0
-    for n in values:
-        row = analyze(n)
+    for row in rows:
         checked += not row.skip_reason
         if row.skip_reason or not row.match:
             offenders.append(row)
@@ -162,11 +161,9 @@ def audit_chunks(
     """Yield (render_rows(offenders), checked, mismatches) per chunk.
 
     Offenders are the skip rows and mismatches, the rows an audit prints;
-    checked counts the composites.  Runs through chunks.chunked.
+    checked counts the composites.  Runs through the sweep's chunk pass.
     """
-    from .chunks import chunked
-
-    return chunked(partial(_audit_chunk, render_rows), start, stop, jobs=jobs)
+    return _sweep_chunks(start, stop, partial(_offenders, render_rows), jobs)
 
 
 def audit(start: int, stop: int, *, jobs: int = 1) -> AuditResult:

@@ -178,20 +178,15 @@ def test_size_cross_check_survives_optimize(run_optimized):
     )
 
 
-@pytest.mark.parametrize(
-    "plant, witness",
-    [("cut_count=rep.cut_count - 1", (35, 1)), ("cut_class=15", (15, 2))],
-)
-def test_witness_check_survives_optimize(run_optimized, plant, witness):
-    # a witness one member short, or in the wrong class, must fail analyze
-    # even where asserts are stripped
+def test_witness_check_survives_optimize(run_optimized):
+    # a witness rooted at 7, so in class 15 of Z_105 and not 35 = 105/3,
+    # must fail analyze even where asserts are stripped
     proc = run_optimized(
         "import sys\n"
         "from zdg import harness\n"
         "report = harness.quotient_report\n"
         "def planted(n, classes):\n"
-        "    rep = report(n, classes)\n"
-        f"    return rep._replace({plant})\n"
+        "    return report(n, classes)._replace(root=7)\n"
         "harness.quotient_report = planted\n"
         "try:\n"
         "    harness.analyze(105)\n"
@@ -200,8 +195,7 @@ def test_witness_check_survives_optimize(run_optimized, plant, witness):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        f"1 n=105: the engine's witness (cut_class, cut_count) is {witness}, "
-        "not n/p and kappa (35, 2)\n"
+        "1 n=105: the engine's witness root is 7, not the least prime 3\n"
     )
 
 
@@ -368,7 +362,10 @@ def test_chunked_checks_before_running(monkeypatch):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(multiprocessing, "Process", refuse)
-    for start, stop, jobs in ((9, 4, 2), (4, 9, 0), (4, 2**63, 2)):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cases = [(9, 4, 2), (4, 9, 0), (4, 2**63, 2)]
+    cases += [(4, 9, jobs) for jobs in ("2", 2.0, 2.5, True)]
+    for start, stop, jobs in cases:
         with pytest.raises(ValueError):
             chunked(refuse, start, stop, jobs=jobs)  # not iterated
 
