@@ -2,16 +2,18 @@
 
 Everything here is exact integer math on any n in [1, 2^63 - 1].
 factorize trial-divides by the primes below 1000, which completely factors
-every n below 10^6.  It stops at n's last prime below 1000: small, the
-product of the primes below 1000 that divide n (gcd(n, _PRIMORIAL)), is
-divided by each prime found, and the loop ends once it is 1; when small
-is 1 from the start the loop is not entered.  A larger cofactor is tested
-with deterministic Miller-Rabin on the shortest base set proved exact
-below it (Jaeschke, Math. Comp. 61, 1993; see _is_prime).  A composite
-cofactor is split at its square root if it is a square, else at its gcd
-with the product of the primes between 1000 and 10^4, else by
-Pollard-Brent rho, so the worst 64-bit inputs (balanced semiprimes near
-3e9) take well under a second.
+every n below 10^6.  For n >= 1000 it stops at n's last prime below 1000:
+small, the product of the primes below 1000 that divide n
+(gcd(n, _PRIMORIAL)), is divided by each prime found, and the loop ends
+once it is 1; when small is 1 from the start the loop is not entered.
+Below 1000 every prime of n is below 1000, so the cofactor is 1 once the
+last one is out and the p * p > cofactor exit comes no later: the gcd is
+not paid there.  A larger cofactor is tested with deterministic
+Miller-Rabin on the shortest base set proved exact below it (Jaeschke,
+Math. Comp. 61, 1993; see _is_prime).  A composite cofactor is split at
+its square root if it is a square, else at its gcd with the product of
+the primes between 1000 and 10^4, else by Pollard-Brent rho, so the worst
+64-bit inputs (balanced semiprimes near 3e9) take well under a second.
 """
 from __future__ import annotations
 
@@ -86,9 +88,11 @@ def _check_range(n: int) -> None:
 def factorize(n: int) -> Factorization:
     """Factor n: divide out the primes below 1000, split the rest by rho.
 
-    Trial division stops at n's last prime below 1000, or once p^2
-    exceeds the cofactor, and is skipped when no prime below 1000
-    divides n.  Deterministic, with no randomness: Miller-Rabin
+    Trial division stops once p^2 exceeds the cofactor or, for n >= 1000,
+    at n's last prime below 1000, and is skipped when no prime below 1000
+    divides such an n (one gcd with their product finds them).  Below
+    1000 the p^2 exit is never later than the last prime, so the gcd is
+    not taken.  Deterministic, with no randomness: Miller-Rabin
     uses fixed bases and the rho walks fixed sequences.  factorize(1) has
     an empty factor list.  Raises RuntimeError naming n if the prime powers
     found do not multiply back to n.
@@ -96,8 +100,9 @@ def factorize(n: int) -> Factorization:
     _check_range(n)
     m = n
     # a multiple of the primes below 1000 that still divide m; below
-    # _PRIME_BELOW the p * p > m exit comes first, so the gcd is not paid
-    small = gcd(n, _PRIMORIAL) if n >= _PRIME_BELOW else n
+    # _TRIAL_BOUND m is 1 once n's last prime is out, so the p * p > m exit
+    # comes no later than small == 1 and the gcd is not paid
+    small = gcd(n, _PRIMORIAL) if n >= _TRIAL_BOUND else n
     factors: list[tuple[int, int]] = []
     if small > 1:
         for p in _SMALL_PRIMES:

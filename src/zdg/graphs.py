@@ -100,8 +100,12 @@ def divisor_classes(f: Factorization) -> list[tuple[int, int]]:
     # d leaves p^(a-b) in n/d, whose totient is (p-1)*p^(a-b-1), or 1 if b = a
     pairs = [(1, 1)]
     for p, a in f.factors:
-        powers = [(p**b, (p - 1) * p ** (a - b - 1)) for b in range(a)]
-        powers.append((p**a, 1))
+        q, t, powers = 1, (p - 1) * p ** (a - 1), []
+        for _ in range(a):
+            powers.append((q, t))
+            q *= p
+            t //= p
+        powers.append((q, 1))
         pairs = [(d * q, t * s) for d, t in pairs for q, s in powers]
     return pairs[1:-1]  # the product makes d = 1 first and d = n last
 
@@ -189,20 +193,21 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
     if not present:
         raise _no_zero_divisors(n)
     hub = n // min(present)
+    hub_present = hub in present
     num_vertices = ends = 0
     delta = smallest = root = stranded = n  # above every degree, size, class
     for d, size in classes:
-        degree = _class_degree(n, d)
+        degree = d - 1 - (d * d % n == 0)  # _class_degree(n, d), inlined
         num_vertices += size
         ends += size * degree
         if degree < delta or degree == delta and d < root:
             delta, root = degree, d
         if size < smallest:
             smallest = size
-        if d != hub and not (
-            hub in present
+        if d < stranded and d != hub and not (
+            hub_present
             and (d * hub % n == 0 or n // d in present and n // d * hub % n == 0)
-        ) and d < stranded:
+        ):
             stranded = d
     if stranded < n:
         raise RuntimeError(

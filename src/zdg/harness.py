@@ -11,11 +11,11 @@ the counts against the class sums.  Rendering is deterministic.
 Ranges run through chunks.chunked: consecutive chunks, each analysed and
 rendered by one worker, yielded in input order.  That module is imported
 only when a range runs, so importing this one (and the CLI) neither
-compiles it nor loads multiprocessing.
+compiles it nor loads multiprocessing.  Likewise json is imported only when
+JSON is rendered; CSV, the default, never loads it.
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
 from functools import partial
 from typing import NamedTuple
@@ -80,19 +80,11 @@ def analyze(n: int) -> AuditFinding:
             f"prime {p}"
         )
     value, tags = predict(f)
+    # positional, which is cheaper than keywords: AuditFinding's field order
     return AuditFinding(
-        n=n,
-        factorization=ftext,
-        vertices=num_vertices,
-        edges=num_edges,
-        delta=rep.delta,
-        kappa_e=rep.kappa_e,
-        kappa=rep.kappa,
-        pred_delta=value,
-        pred_kappa_e=value,
-        pred_kappa=value,
-        tags=";".join(tags),
-        match=rep.delta == rep.kappa_e == rep.kappa == value,
+        n, ftext, num_vertices, num_edges, rep.delta, rep.kappa_e, rep.kappa,
+        value, value, value, ";".join(tags),
+        rep.delta == rep.kappa_e == rep.kappa == value,
     )
 
 
@@ -176,18 +168,13 @@ def audit(start: int, stop: int, *, jobs: int = 1) -> AuditResult:
     return AuditResult(tuple(rows), checked, mismatches)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
 def csv_row(finding: AuditFinding) -> str:
-    return ",".join(map(_csv_cell, finding))
+    """finding's cells joined by commas: None empty, booleans lower case."""
+    return ",".join([
+        "" if v is None else "true" if v is True else "false" if v is False
+        else f"{v}"
+        for v in finding
+    ])
 
 
 def csv_chunk(findings) -> str:
@@ -202,6 +189,8 @@ def _csv_frame(chunks) -> Iterator[str]:
 
 def _json_chunk(findings) -> str:
     """The array elements of findings as json.dumps(rows, indent=2) has them."""
+    import json  # only JSON output needs it, so the CLI's import skips it
+
     # strip the array's "[\n" and "\n]"; an empty array "[]" leaves ""
     return json.dumps([f._asdict() for f in findings], indent=2)[2:-2]
 

@@ -123,8 +123,46 @@ def test_factorize_trial_division_exit():
     cases += [p * p * q for p in (2, 3, 31, 991, 997) for q in big]  # p twice in m
     cases += [math.prod(primerange(2, 42)) * 997]  # 43# * 997 exceeds 2^63 - 1
     cases += [1009 * 1000003, 1000003 * 2147483647]  # no prime below 1000
+    # the gcd exit starts at n = 1000: both sides of it and of 10^6, and n
+    # below 10^6 with a prime above 1000, where the gcd ends the walk early
+    cases += [998, 999, 1000, 1001, 1009, 2018, 999919, 10**6 - 1, 10**6]
+    cases += [10**6 + 3]
+    rng = random.Random(20)
+    for _ in range(200):
+        q = nextprime(rng.randrange(1000, 10**5))
+        cases.append(rng.randrange(1, 10**6 // q) * q)
     for n in cases:
         assert factorize(n).factors == _factors_of(n), n
+
+
+class _CountedPrimes(tuple):
+    """A prime table that counts the primes handed out by its iterators."""
+
+    visited = 0
+
+    def __iter__(self):
+        for p in super().__iter__():
+            self.visited += 1
+            yield p
+
+
+@pytest.mark.parametrize(
+    "n, visited",
+    [
+        (2 * 183611, 1),  # the p * p > m exit alone ends at 431, 83 primes
+        (4 * 50651, 1),  # ... at 227, 49 primes
+        (991 * 1009, 167),  # the last small prime is 991, the 167th
+        (1009, 0),  # no prime below 1000 divides n: no walk, not 12 primes
+        (2 * 499, 9),  # below 1000 the p * p > m exit ends it, at 23
+        (997, 12),  # ... at 37
+    ],
+)
+def test_factorize_trial_division_visits(monkeypatch, n, visited):
+    # from n >= 1000 on, the walk ends at n's last prime below 1000
+    primes = _CountedPrimes(arith._SMALL_PRIMES)
+    monkeypatch.setattr(arith, "_SMALL_PRIMES", primes)
+    assert factorize(n).factors == _factors_of(n)
+    assert primes.visited == visited
 
 
 def test_factorize_gcd_split():

@@ -357,6 +357,41 @@ def test_chunked_close_stops_children(two_cpus):
     assert multiprocessing.active_children() == []
 
 
+@pytest.fixture
+def pipe_readers(monkeypatch):
+    """The reading ends of the pipes chunked opens, in order."""
+    readers = []
+    pipe = multiprocessing.Pipe
+
+    def recording(duplex=True):
+        reader, writer = pipe(duplex)
+        readers.append(reader)
+        return reader, writer
+
+    monkeypatch.setattr(multiprocessing, "Pipe", recording)
+    return readers
+
+
+@pytest.mark.parametrize("stop", ["whole", "closed", "child error"])
+def test_chunked_closes_its_pipes(two_cpus, pipe_readers, stop):
+    # a Connection dropped open closes silently when collected, with no
+    # ResourceWarning, so only this test sees a reader left open
+    if stop == "whole":
+        assert [n for rows in chunked(list, 4, 2000, jobs=2) for n in rows] == (
+            list(range(4, 2001))
+        )
+    elif stop == "closed":
+        chunks = chunked(list, 4, 100_000, jobs=2)
+        next(chunks)
+        next(chunks)  # a chunk from the child
+        chunks.close()
+    else:
+        with pytest.raises(RuntimeError, match="planted"):
+            list(chunked(_fail_in_child, 4, 2000, jobs=2))
+    assert [reader.closed for reader in pipe_readers] == [True]
+    assert multiprocessing.active_children() == []
+
+
 def test_chunked_checks_before_running(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process was started")
