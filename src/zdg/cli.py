@@ -2,7 +2,8 @@
 
 Subcommands: analyze (one n), sweep (a range), audit (range + verdict),
 export-dot (Graphviz text).  Exit codes: 0 success, 1 usage or input
-error or a reader that hung up, 2 audit found mismatches.
+error or a reader that hung up, 2 audit found mismatches, 3 a certificate
+failed.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .errors import ResourceLimitError
-from .graphs import build_explicit, export_dot
+from .errors import CertificateError, ResourceLimitError
+from .graphs import export_dot
 from .harness import (
     analyze, audit_chunks, csv_chunk, render, summary, sweep_text,
 )
@@ -114,8 +115,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    graph = build_explicit(args.n)
-    _emit(export_dot(graph, args.color_classes), args.output)
+    _emit(export_dot(args.n, args.color_classes), args.output)
     return 0
 
 
@@ -131,6 +131,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader hung up; the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except CertificateError as err:
+        print(f"zdg: certificate failed: {err}", file=sys.stderr)
+        return 3
     except (ResourceLimitError, ValueError, OSError) as err:
         print(f"zdg: error: {err}", file=sys.stderr)
         return 1

@@ -7,3 +7,7 @@ class NoZeroDivisorsError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Raised when a computation would exceed a size limit."""
+
+
+class CertificateError(RuntimeError):
+    """Raised when a computed value's certificate does not hold."""

@@ -12,11 +12,11 @@ cost time linear in the number of divisors of n, for any n up to
 2^63 - 1, without touching individual residues.  The graph's size takes
 O(primes) (graph_size), so the explicit-graph guard builds no class.
 
-The quotient engine (quotient_report) lives here, as it reads only this
-class rule; analyze, sweep and audit run it.  One pass over the classes,
-in any order, certifies kappa = kappa_e = delta, since each class is a
+quotient_report, the engine analyze, sweep and audit run, and export_dot
+read only this class rule and build no graph.  One pass over the classes
+in any order certifies kappa = kappa_e = delta, each class being a
 module, and names the witness cuts by class (residue_witnesses expands
-them).  It builds no graph and runs no flow; connectivity is its oracle.
+them).  The engine runs no flow; connectivity is its oracle.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import Factorization, factorize
-from .errors import NoZeroDivisorsError, ResourceLimitError
+from .errors import CertificateError, NoZeroDivisorsError, ResourceLimitError
 
 # Guards for materializing the explicit graph.
 MAX_EXPLICIT_VERTICES = 200_000
@@ -179,7 +179,7 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
     connected and no class is smaller than delta, kappa >= delta; the
     root's star gives kappa <= delta, and Whitney's chain kappa <= kappa_e
     <= delta gives kappa_e = delta.  A complete graph (n = p^2, or K_1 at
-    n = 4) has kappa = delta = m - 1 on m vertices.  Raises RuntimeError,
+    n = 4) has kappa = delta = m - 1 on m vertices.  Raises CertificateError,
     naming the smallest class at fault, when a certificate fails, and
     NoZeroDivisorsError when there is no class (n = 1 or n prime).  The
     witness is returned as its root class (QuotientReport).
@@ -210,13 +210,13 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
         ):
             stranded = d
     if stranded < n:
-        raise RuntimeError(
+        raise CertificateError(
             f"n={n}: class {stranded} reaches class {hub} neither directly nor "
             f"through class {n // stranded}, so connectedness is not certified"
         )
     if delta != num_vertices - 1 and smallest < delta:  # K_m has no separator
         small_class = min(d for d, size in classes if size == smallest)
-        raise RuntimeError(
+        raise CertificateError(
             f"n={n}: smallest class {small_class} has size {smallest} < "
             f"delta={delta}, so kappa = delta is not certified"
         )
@@ -293,28 +293,29 @@ def build_explicit(n: int) -> ZeroDivisorGraph:
     return ZeroDivisorGraph(n, tuple(sorted(adjacency)), adjacency, num_edges)
 
 
-def export_dot(g: ZeroDivisorGraph, color_by_class: bool = False) -> Iterator[str]:
-    """Graphviz DOT text in chunks; every edge appears once, smaller
-    endpoint first.
-
-    With color_by_class, vertices in the same divisor class share a fill
-    color (HSV, spread over the class list).  Each chunk is whole lines:
-    the header, one vertex statement, one vertex's edges to larger
-    neighbors, or the closing brace.  Batching the edges by vertex keeps
-    the number of writes near the number of vertices when a caller
-    streams the chunks to an unbuffered stream.
+def export_dot(n: int, color_by_class: bool = False) -> Iterator[str]:
+    """Graphviz DOT text of Z_n's zero-divisor graph, from the class rule,
+    in chunks of whole lines: a vertex statement or a vertex's edges.  Every
+    edge appears once, smaller end first; n is checked now, as build_explicit
+    checks it.  With color_by_class, a class's vertices share a fill color
+    (HSV, spread over the class list).
     """
-    yield f"graph zdg_{g.n} {{\n"
-    if color_by_class:
-        class_of = {v: gcd(v, g.n) for v in g.vertices}
-        palette = sorted(set(class_of.values()))
-        hues = {d: i / len(palette) for i, d in enumerate(palette)}
-        for v in g.vertices:
-            h = hues[class_of[v]]
-            yield f'  {v} [style=filled, fillcolor="{h:.3f} 0.450 0.950"];\n'
-    else:
-        for v in g.vertices:
-            yield f"  {v};\n"
-    for u in g.vertices:
-        yield "".join(f"  {u} -- {w};\n" for w in g.adjacency[u] if u < w)
+    f = factorize(n)
+    explicit_size(f)
+    return _dot_chunks(n, [d for d, _ in compress(f).classes], color_by_class)
+
+
+def _dot_chunks(n: int, classes: list[int], color: bool) -> Iterator[str]:
+    yield f"graph zdg_{n} {{\n"
+    k = len(classes)
+    fill = {
+        d: f' [style=filled, fillcolor="{i / k:.3f} 0.450 0.950"]' * color
+        for i, d in enumerate(classes)
+    }
+    vertices = sorted(v for d in classes for v in class_members(n, d))
+    for v in vertices:
+        yield f"  {v}{fill[gcd(v, n)]};\n"
+    for u in vertices:
+        m = n // gcd(u, n)  # u's neighbors: the multiples of m, u aside
+        yield "".join(f"  {u} -- {w};\n" for w in range(u + m - u % m, n, m))
     yield "}\n"

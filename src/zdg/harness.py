@@ -21,7 +21,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .arith import factorize, format_factorization
-from .errors import ResourceLimitError
+from .errors import CertificateError, ResourceLimitError
 from .formulas import predict
 from .graphs import divisor_classes, explicit_size, quotient_report
 
@@ -54,7 +54,7 @@ def analyze(n: int) -> AuditFinding:
     The explicit_size guard runs first, on the factorization alone, so the
     same n are refused as by build_explicit and a refused n builds no
     class.  Then quotient_report takes the classes of the one factorization
-    in the order divisor_classes makes them.  Raises RuntimeError naming n
+    in the order divisor_classes makes them.  Raises CertificateError naming n
     if the guard's closed-form counts differ from the classes' sums, or if
     the engine's witness is not rooted at p, the least prime.
     """
@@ -68,14 +68,14 @@ def analyze(n: int) -> AuditFinding:
         return AuditFinding(n, ftext, skip_reason="ResourceLimit")
     rep = quotient_report(n, divisor_classes(f))
     if (rep.num_vertices, rep.num_edges) != (num_vertices, num_edges):
-        raise RuntimeError(
+        raise CertificateError(
             f"n={n}: closed form gives {num_vertices} vertices and "
             f"{num_edges} edges, class sums give {rep.num_vertices} and "
             f"{rep.num_edges}"
         )
     p = f.factors[0][0]
     if rep.root != p:
-        raise RuntimeError(
+        raise CertificateError(
             f"n={n}: the engine's witness root is {rep.root}, not the least "
             f"prime {p}"
         )

@@ -10,10 +10,13 @@ import pickle
 import signal
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 
+from zdg import graphs
+from zdg.arith import factorize
 from zdg.cli import main
 from zdg.graphs import build_compressed, build_explicit, export_dot, quotient_report
 from zdg.harness import CSV_HEADER, analyze, render_csv, sweep
@@ -184,34 +187,76 @@ def test_audit_clean_range(capsys):
     assert all("NoZeroDivisors" in ln for ln in lines[:-1])
 
 
+def _check_dot(text, n, color):
+    """text is the explicit graph of Z_n in DOT, each edge once, smaller end
+    first; with color, the fills differ exactly where the classes do."""
+    g = build_explicit(n)
+    lines = text.splitlines()
+    assert (lines[0], lines[-1]) == (f"graph zdg_{n} {{", "}")
+    vertices, edges, fills = [], [], set()
+    for line in lines[1:-1]:
+        head, _, tail = line.strip().rstrip(";").partition(" ")
+        if tail.startswith("-- "):
+            edges.append((int(head), int(tail[3:])))
+        else:
+            vertices.append(int(head))
+            fills.add((gcd(int(head), n), tail))
+    assert vertices == list(g.vertices)
+    assert edges == [(u, w) for u in g.vertices for w in g.adjacency[u] if u < w]
+    classes, colors = {d for d, _ in fills}, {a for _, a in fills}
+    if color:
+        assert len(fills) == len(colors) == len(classes)  # one fill per class
+        assert all(a.startswith('[style=filled, fillcolor="') for a in colors)
+    else:
+        assert colors == {""}
+
+
+_DOT_NS = [n for n in range(4, 301) if factorize(n).is_composite()] + [5005]
+
+
 def test_export_dot(capsys):
     assert main(["export-dot", "--n", "8"]) == 0
-    assert capsys.readouterr().out == "".join(export_dot(build_explicit(8)))
+    _check_dot(capsys.readouterr().out, 8, False)
+    for n in _DOT_NS:
+        _check_dot("".join(export_dot(n)), n, False)
 
 
 def test_export_dot_colored(capsys):
     assert main(["export-dot", "--n", "12", "--color-classes"]) == 0
-    out = capsys.readouterr().out
-    assert "fillcolor" in out
-    assert out == "".join(export_dot(build_explicit(12), color_by_class=True))
+    _check_dot(capsys.readouterr().out, 12, True)
+    for n in _DOT_NS:
+        _check_dot("".join(export_dot(n, color_by_class=True)), n, True)
 
 
 @pytest.mark.parametrize("color", [False, True])
-def test_export_dot_output_file(tmp_path, color):
+def test_export_dot_output_file(tmp_path, capsys, color):
     path = tmp_path / "z27.dot"
     argv = ["export-dot", "--n", "27", "--output", str(path)]
     assert main(argv + ["--color-classes"] * color) == 0
-    expected = "".join(export_dot(build_explicit(27), color_by_class=color))
-    assert path.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == ""
+    _check_dot(path.read_text(), 27, color)
 
 
 # sha256 of `zdg export-dot` output, independent of export_dot itself, so a
-# rewrite of it cannot move both sides of the comparison
+# rewrite of it cannot move both sides of the comparison; those from 4 on
+# were recorded while export-dot still built the explicit graph
 _DOT_SHA256 = {
     (27, False): "f40083c5f03faa3a68ba693a30b8038134373d844d9ecaf60dd8530e0e82b0d1",
     (27, True): "9eecfc9ee2ca421192d553ca8be3d74ad3c7066b9d5f07e5d5b4b89047012542",
     (3600, False): "b487a2f19b37529176eead017070eee1235465221986f7461afa9ee9d0250f7c",
     (3600, True): "e0f782aa86a0ff2e7599d66ef5add4b0f30cc2b7536f67da502cd7125e0a6589",
+    (4, False): "515f1aaca08359eb97425204426cae169525eec5d6fbdae5fac269323c73cc71",
+    (4, True): "d8adbef0c7f7615470c44a5b2de1ba57266f4721ba3332d94fca9d8366ebff84",
+    (9, False): "3df0a6af6d026273dd2aa3201bd460a826c08e6a2c0953b0617ed14ef153a517",
+    (9, True): "b71e9921631edefbe85fb3db145d6cdde21cc6d3970aded759db709075dc45fc",
+    (12, False): "de423bd17646a560fb755e231004ede3f35e0e198a92e21500490ab20789b5f4",
+    (12, True): "3ea4cd9b325b1d78297eb96f356ddbcdc89fe39a3d581e7121b1035c818c729d",
+    (25, False): "4fb210d54923f79940f621feb647819679a77bcb10e63da32701a48468254485",
+    (25, True): "bfabdf3558b96924fd8177a9ed040c1f94b5b55c73d95c4e1cffd215a6271f43",
+    (5005, False): "a8f23e07f6123020db62f4e0781aa3f01ae64079f865a80b834fa00fc5934e95",
+    (5005, True): "2cc548b1dfc9a55c10aed08bc0794b38c62dfbe8e3353d6295bfec6cc087ef1e",
+    (161051, False): "d15cf84ed78dc4192dcc569f30e59a9c38ac9fbe994270155cfe5fa368366e45",
+    (161051, True): "110c193972181c97e8508bb333c75f6d4a8f39def5722dfb3c3226da5308640d",
 }
 
 
@@ -226,6 +271,65 @@ def test_export_dot_bytes_pinned(tmp_path, n, color):
 def test_export_dot_rejects_prime(capsys):
     assert main(["export-dot", "--n", "7"]) == 1
     assert "zdg: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["7", "1000003000002"])  # prime, past the guard
+def test_export_dot_refused_writes_no_file(tmp_path, capsys, n):
+    path = tmp_path / "out.dot"
+    assert main(["export-dot", "--n", n, "--output", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err.startswith("zdg: error:")) == ("", True)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("color", [False, True])
+def test_export_dot_builds_no_explicit_graph(monkeypatch, capsys, color):
+    def refuse(n):
+        raise AssertionError(f"build_explicit({n}) called")
+
+    monkeypatch.setattr(graphs, "build_explicit", refuse)
+    assert main(["export-dot", "--n", "12"] + ["--color-classes"] * color) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _DOT_SHA256[12, color]
+
+
+# analyze's witness-root check fails at the planted n; the fork start
+# method gives a worker child the same planted module
+_PLANT = """\
+import multiprocessing, os, sys
+multiprocessing.set_start_method("fork")
+os.cpu_count = lambda: 2
+from zdg import cli, harness
+report = harness.quotient_report
+def planted(n, classes):
+    rep = report(n, classes)
+    return rep._replace(root=3) if n == {n} else rep
+harness.quotient_report = planted
+sys.exit(cli.main(["sweep", "--from", "990", "--to", "1010", "--jobs", "{jobs}"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("jobs, n", [(1, 1000), (2, 1000), (2, 1001)])
+def test_certificate_failure_is_one_line(child_env, flags, jobs, n):
+    # at --jobs 2 the chunks hold one n each and alternate, so the worker
+    # child analyses 1001 and the calling process 1000
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _PLANT.format(n=n, jobs=jobs)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+    )
+    least = {1000: 2, 1001: 7}[n]
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"zdg: certificate failed: n={n}: the engine's witness root is 3, "
+        f"not the least prime {least}\n"
+    )
+    rows = proc.stdout.splitlines()
+    assert rows[0] == CSV_HEADER
+    assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(990, n))
 
 
 def test_usage_errors_exit_1(capsys):

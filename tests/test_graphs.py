@@ -61,6 +61,8 @@ def test_no_zero_divisors_rejected():
             build_explicit(n)
         with pytest.raises(NoZeroDivisorsError):
             build_compressed(n)
+        with pytest.raises(NoZeroDivisorsError):  # at the call, no chunk made
+            export_dot(n)
     # the quotient engine refuses an empty class list with compress's text
     for n, classes in ((7, divisor_classes(factorize(7))), (1, [])):
         with pytest.raises(NoZeroDivisorsError) as err:
@@ -75,12 +77,16 @@ def test_out_of_range_rejected():
         build_explicit(0)
     with pytest.raises(ValueError):
         build_compressed(-4)
+    with pytest.raises(ValueError):
+        export_dot(0)
 
 
 def test_vertex_guard():
     # 10^6 implies 599999 vertices, over the 200000 cap
     with pytest.raises(ResourceLimitError, match="vertices"):
         build_explicit(10**6)
+    with pytest.raises(ResourceLimitError, match="vertices"):
+        export_dot(10**6)
 
 
 def test_edge_guard():
@@ -88,6 +94,8 @@ def test_edge_guard():
     # just over the 5*10^7 cap, while the vertex count is comfortably legal
     with pytest.raises(ResourceLimitError, match="edges"):
         build_explicit(10007**2)
+    with pytest.raises(ResourceLimitError, match="edges"):
+        export_dot(10007**2)
 
 
 def test_edge_sum_check_survives_optimize(run_optimized):
@@ -190,8 +198,7 @@ def test_class_members():
 
 
 def test_export_dot_z8():
-    g = build_explicit(8)
-    assert "".join(export_dot(g)) == (
+    assert "".join(export_dot(8)) == (
         "graph zdg_8 {\n"
         "  2;\n"
         "  4;\n"
@@ -203,7 +210,7 @@ def test_export_dot_z8():
 
 
 def test_export_dot_z25():
-    text = "".join(export_dot(build_explicit(25)))
+    text = "".join(export_dot(25))
     lines = text.splitlines()
     assert lines[0] == "graph zdg_25 {"
     assert lines[-1] == "}"
@@ -212,14 +219,13 @@ def test_export_dot_z25():
 
 
 def test_export_dot_colored_same_structure():
-    g = build_explicit(12)
-    plain = "".join(export_dot(g))
-    colored = "".join(export_dot(g, color_by_class=True))
+    plain = "".join(export_dot(12))
+    colored = "".join(export_dot(12, color_by_class=True))
     edge_lines = lambda s: [ln for ln in s.splitlines() if "--" in ln]
     assert edge_lines(plain) == edge_lines(colored)
     assert 'style=filled, fillcolor="' in colored
     # one node statement per vertex either way
-    assert colored.count("fillcolor") == len(g.vertices)
+    assert colored.count("fillcolor") == graph_size(factorize(12))[0]
     # same-class vertices share a fill color
     node_color = {}
     for ln in colored.splitlines():

@@ -14,7 +14,7 @@ import zdg.graphs as graphs
 import zdg.harness as harness
 from zdg.arith import factorize
 from zdg.chunks import chunked
-from zdg.errors import ResourceLimitError
+from zdg.errors import CertificateError, ResourceLimitError
 from zdg.harness import (
     CSV_HEADER,
     AuditFinding,
@@ -197,6 +197,28 @@ def test_witness_check_survives_optimize(run_optimized):
     assert proc.stdout == (
         "1 n=105: the engine's witness root is 7, not the least prime 3\n"
     )
+
+
+def test_certificate_checks_raise_certificate_error(monkeypatch):
+    # each of the four checks, planted, raises the type the CLI reports as
+    # a failed certificate (exit 3) rather than a usage error
+    classes = graphs.build_compressed(105).classes
+    small = [(d, 1 if d == 21 else size) for d, size in classes]
+    stranded = [(d, size) for d, size in classes if d != 35]
+    for planted in (small, stranded):
+        with pytest.raises(CertificateError, match="is not certified$"):
+            graphs.quotient_report(105, planted)
+    with monkeypatch.context() as m:
+        size = graphs.graph_size
+        m.setattr(graphs, "graph_size", lambda f: (size(f)[0], size(f)[1] + 1))
+        with pytest.raises(CertificateError, match="^n=12: closed form"):
+            analyze(12)
+    report = harness.quotient_report
+    monkeypatch.setattr(
+        harness, "quotient_report", lambda n, c: report(n, c)._replace(root=7)
+    )
+    with pytest.raises(CertificateError, match="^n=105: the engine's witness"):
+        analyze(105)
 
 
 def test_flow_oracle_builds_no_explicit_graph(monkeypatch):
