@@ -22,6 +22,8 @@ from itertools import count
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
+from .errors import CertificateError
+
 _MAX_N = 2**63 - 1
 
 
@@ -94,8 +96,8 @@ def factorize(n: int) -> Factorization:
     1000 the p^2 exit is never later than the last prime, so the gcd is
     not taken.  Deterministic, with no randomness: Miller-Rabin
     uses fixed bases and the rho walks fixed sequences.  factorize(1) has
-    an empty factor list.  Raises RuntimeError naming n if the prime powers
-    found do not multiply back to n.
+    an empty factor list.  Raises CertificateError naming n if the prime
+    powers found do not multiply back to n.
     """
     _check_range(n)
     m = n
@@ -128,7 +130,9 @@ def factorize(n: int) -> Factorization:
     for p, a in factors:
         product *= p**a
     if product != n:
-        raise RuntimeError(f"n={n}: prime powers multiply to {product}, expected {n}")
+        raise CertificateError(
+            f"n={n}: prime powers multiply to {product}, expected {n}"
+        )
     return Factorization(n, tuple(factors))
 
 

@@ -24,9 +24,10 @@ def chunked(fn, start: int, stop: int, *, jobs: int = 1) -> Iterator:
     range length).  Worker 0 is the calling process; the others are child
     processes, started at the first next() and each sending its results
     down its own pipe.  A child's exception is raised here at its chunk's
-    turn, and every child is stopped and joined when the iteration ends,
-    fails or is closed.  The range and jobs are checked now, before any
-    chunk runs.
+    turn, and a child that ended before sending its chunk raises
+    ChildProcessError there.  Every child is stopped and joined when the
+    iteration ends, fails or is closed.  The range and jobs are checked
+    now, before any chunk runs.
     """
     _check_range(start)
     _check_range(stop)
@@ -70,7 +71,7 @@ def _run(fn, starts: range, size: int, stop: int, workers: int) -> Iterator:
             try:
                 result, error = pipes[w - 1].recv()
             except EOFError:
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"worker {w} ended before sending n = {values.start}.."
                     f"{values.stop - 1}"
                 ) from None

@@ -2,8 +2,8 @@
 
 Subcommands: analyze (one n), sweep (a range), audit (range + verdict),
 export-dot (Graphviz text).  Exit codes: 0 success, 1 usage or input
-error or a reader that hung up, 2 audit found mismatches, 3 a certificate
-failed.
+error, a reader that hung up or a worker process that died, 2 audit found
+mismatches, 3 a certificate failed.
 """
 from __future__ import annotations
 

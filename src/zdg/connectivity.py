@@ -3,11 +3,11 @@
 This module reads no divisor-class structure and imports nothing from
 the rest of zdg, so it stays independent of the module argument the
 quotient engine (graphs.quotient_report) rests on; it is the oracle that
-engine is tested against.  connectivity_report, vertex_connectivity and
-edge_connectivity take an explicit graph and run flows with unit vertex
-or edge capacities, by shortest augmenting paths.  A flow that ends below its cutoff leaves its
-last, failed search as the witness: the source side of the minimum cut
-closest to the source.
+engine is tested against.  min_degree, edge_connectivity and
+vertex_connectivity take an explicit graph; the last two run flows with
+unit edge or vertex capacities, by shortest augmenting paths.  A flow
+that ends below its cutoff leaves its last, failed search as the
+witness: the source side of the minimum cut closest to the source.
 Vertex connectivity is the Menger minimum over a sufficient pair family
 rooted at a minimum-degree vertex (its non-neighbors, plus non-adjacent
 pairs inside its neighborhood).  Edge connectivity is the minimum of s-t
@@ -20,8 +20,6 @@ short-circuit flows whose value provably cannot lower the running
 minimum; the returned values are exactly the Menger minima either way.
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 
 class _View:
@@ -223,21 +221,15 @@ def edge_connectivity(g) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact edge connectivity with a witness edge cut.
 
     Returns 0 with an empty witness for disconnected or single-vertex
-    graphs.
-    """
-    view = _View(g)
-    return _edge_cut(view) if _splittable(view) else (0, ())
-
-
-def _edge_cut(view: _View) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Edge connectivity of a connected view with two or more vertices.
-
-    Flow targets range over a dominating set of the source, which is
-    sufficient: were some cut smaller than every computed flow and the
+    graphs.  Flow targets range over a dominating set of the source, which
+    is sufficient: were some cut smaller than every computed flow and the
     minimum degree, each of its sides would contain a vertex whose whole
     closed neighborhood sits inside that side, and the dominating set
     would have to meet both sides.
     """
+    view = _View(g)
+    if not _splittable(view):
+        return 0, ()
     nv = len(view.verts)
     si = _min_degree_root(view)
     best = view.degs[si]
@@ -272,16 +264,6 @@ def _edge_cut(view: _View) -> tuple[int, tuple[tuple[int, int], ...]]:
     return best, witness
 
 
-def vertex_connectivity(g) -> tuple[int, tuple[int, ...]]:
-    """Exact vertex connectivity with a witness cut.
-
-    Conventions: 0 for disconnected or single-vertex graphs; a complete
-    graph on m vertices yields m - 1 (deleting the witness leaves K_1).
-    """
-    view = _View(g)
-    return _vertex_cut(view) if _splittable(view) else (0, ())
-
-
 def _split_network(view: _View) -> _FlowNet:
     """Vertex-split flow network: node 2i is i's in-side, 2i+1 its out-side.
 
@@ -301,8 +283,15 @@ def _split_network(view: _View) -> _FlowNet:
     return net
 
 
-def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
-    """Vertex connectivity of a connected view with two or more vertices."""
+def vertex_connectivity(g) -> tuple[int, tuple[int, ...]]:
+    """Exact vertex connectivity with a witness cut.
+
+    Conventions: 0 for disconnected or single-vertex graphs; a complete
+    graph on m vertices yields m - 1 (deleting the witness leaves K_1).
+    """
+    view = _View(g)
+    if not _splittable(view):
+        return 0, ()
     nv = len(view.verts)
     num_edges = sum(view.degs) // 2
     if 2 * num_edges == nv * (nv - 1):
@@ -364,47 +353,3 @@ def _vertex_cut(view: _View) -> tuple[int, tuple[int, ...]]:
             if y not in nbr_sets[x]:
                 local_flow(x, y)
     return best, witness
-
-
-class ConnectivityReport(NamedTuple):
-    """All three connectivity quantities of one graph, with witnesses."""
-
-    n: int
-    num_vertices: int
-    num_edges: int
-    delta: int
-    kappa_e: int
-    kappa: int
-    witness_vertex_cut: tuple[int, ...] | None
-    witness_edge_cut: tuple[tuple[int, int], ...] | None
-
-
-def connectivity_report(g) -> ConnectivityReport:
-    """Compute min degree, edge and vertex connectivity in one pass.
-
-    Both engines share one adjacency snapshot and one connectivity check.
-    Raises RuntimeError if the results break Whitney's chain
-    kappa <= kappa_e <= delta.
-    """
-    view = _View(g)
-    delta = min(view.degs)
-    if _splittable(view):
-        kappa_e, edge_cut = _edge_cut(view)
-        kappa, vertex_cut = _vertex_cut(view)
-        if not 0 <= kappa <= kappa_e <= delta:
-            raise RuntimeError(
-                f"n={g.n}: kappa={kappa}, kappa_e={kappa_e}, delta={delta} "
-                "break kappa <= kappa_e <= delta"
-            )
-    else:
-        kappa_e, edge_cut, kappa, vertex_cut = 0, (), 0, ()
-    return ConnectivityReport(
-        n=g.n,
-        num_vertices=len(view.verts),
-        num_edges=sum(view.degs) // 2,
-        delta=delta,
-        kappa_e=kappa_e,
-        kappa=kappa,
-        witness_vertex_cut=vertex_cut,
-        witness_edge_cut=edge_cut,
-    )

@@ -160,7 +160,7 @@ class QuotientReport(NamedTuple):
 def residue_witnesses(
     rep: QuotientReport,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """rep's vertex and edge cut in residues, in connectivity_report's form."""
+    """rep's vertex and edge cut in residues, in the flow oracle's form."""
     members, r = class_members(rep.n, rep.n // rep.root), rep.root
     edges = ((min(r, v), max(r, v)) for v in members if v != r)
     return tuple(members[: rep.kappa]), tuple(sorted(edges))
@@ -286,7 +286,7 @@ def build_explicit(n: int) -> ZeroDivisorGraph:
                 adjacency[v] = shared[:i] + shared[i + 1 :]
     ends = sum(len(a) for a in adjacency.values())
     if ends != 2 * num_edges:
-        raise RuntimeError(
+        raise CertificateError(
             f"n={n}: adjacency lists hold {ends} edge ends, "
             f"expected {2 * num_edges}"
         )

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import ast
+import builtins
 import hashlib
+import importlib
 import json
 import multiprocessing
 import os
@@ -10,14 +12,17 @@ import pickle
 import signal
 import subprocess
 import sys
+import typing
 from math import gcd
 from pathlib import Path
 
 import pytest
 
+import zdg
 from zdg import graphs
 from zdg.arith import factorize
 from zdg.cli import main
+from zdg.errors import CertificateError, ResourceLimitError
 from zdg.graphs import build_compressed, build_explicit, export_dot, quotient_report
 from zdg.harness import CSV_HEADER, analyze, render_csv, sweep
 
@@ -330,6 +335,127 @@ def test_certificate_failure_is_one_line(child_env, flags, jobs, n):
     rows = proc.stdout.splitlines()
     assert rows[0] == CSV_HEADER
     assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(990, n))
+
+
+# factorize's product check fails at 2 * 1000003 = 2000006, whose cofactor
+# 1000003 is planted to split into the wrong prime 1000005
+_FACTORIZE_PLANT = """\
+import multiprocessing, os, sys
+multiprocessing.set_start_method("fork")
+os.cpu_count = lambda: 2
+from zdg import arith, cli
+split = arith._split
+def planted(m, out):
+    if m == 1000003:
+        out.append(1000005)
+    else:
+        split(m, out)
+arith._split = planted
+argv = ["sweep", "--from", "{start}", "--to", "2000016", "--jobs", "{jobs}"]
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+@pytest.mark.parametrize("jobs, start", [(1, 2000000), (2, 2000000), (2, 2000001)])
+def test_factorization_failure_is_one_line(child_env, flags, jobs, start):
+    # at --jobs 2 the chunks hold one n each and alternate, so 2000006 is
+    # the calling process's from 2000000 and the worker child's from 2000001
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _FACTORIZE_PLANT.format(start=start, jobs=jobs)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "zdg: certificate failed: n=2000006: prime powers multiply to 2000010, "
+        "expected 2000006\n"
+    )
+    rows = proc.stdout.splitlines()
+    assert rows[0] == CSV_HEADER
+    assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(start, 2000006))
+
+
+# the worker child exits without a word at 1001, so its pipe reaches EOF
+_DEATH_PLANT = """\
+import multiprocessing, os, sys
+multiprocessing.set_start_method("fork")
+os.cpu_count = lambda: 2
+from zdg import cli, harness
+analyze = harness.analyze
+def planted(n):
+    if n == 1001 and multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return analyze(n)
+harness.analyze = planted
+sys.exit(cli.main(["sweep", "--from", "990", "--to", "1010", "--jobs", "2"]))
+"""
+
+
+def test_dead_worker_is_one_line(child_env):
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DEATH_PLANT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no worker left in the process group
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert proc.returncode == 1
+    assert err == "zdg: error: worker 1 ended before sending n = 1001..1001\n"
+    rows = out.splitlines()
+    assert rows[0] == CSV_HEADER
+    assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(990, 1001))
+
+
+# the classes cli.main reports in one line, not as a traceback
+_ONE_LINE_ERRORS = (ValueError, OSError, ResourceLimitError, CertificateError)
+
+
+def _raised_class(module, node: ast.expr):
+    """The class a raise of node throws: a class named directly or called,
+    or the return annotation of a called helper; None if unnamed."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if not isinstance(node, ast.Name):
+        return None
+    named = getattr(module, node.id, getattr(builtins, node.id, None))
+    if callable(named) and not isinstance(named, type):
+        named = typing.get_type_hints(named).get("return")
+    return named if isinstance(named, type) else None
+
+
+def test_every_raise_is_one_line():
+    # a raise the CLI does not catch prints a traceback and exits 1, the
+    # usage-error code; a name bound by an except clause is a caught error
+    # passed on, which is checked where it was first raised
+    package = Path(zdg.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        name = "zdg" if path.stem == "__init__" else f"zdg.{path.stem}"
+        module = importlib.import_module(name)
+        tree = ast.parse(path.read_text())
+        caught = {h.name for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            if isinstance(node.exc, ast.Name) and node.exc.id in caught:
+                continue
+            cls = _raised_class(module, node.exc)
+            if cls is None or not issubclass(cls, _ONE_LINE_ERRORS):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_usage_errors_exit_1(capsys):

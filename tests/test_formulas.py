@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zdg.arith import factorize
-from zdg.connectivity import connectivity_report
+from zdg.connectivity import edge_connectivity, min_degree, vertex_connectivity
 from zdg.errors import NoZeroDivisorsError
 from zdg.formulas import (
     Prediction,
@@ -177,10 +177,10 @@ def test_three_quantities_agree_and_follow_smallest_prime(n):
 @given(composite_mid)
 def test_predictions_match_measured_connectivity(n):
     f = factorize(n)
-    rep = connectivity_report(build_explicit(n))
-    assert rep.kappa == predict_vertex_connectivity(f).value
-    assert rep.kappa_e == predict_edge_connectivity(f).value
-    assert rep.delta == predict_min_degree(f).value
+    g = build_explicit(n)
+    assert vertex_connectivity(g)[0] == predict_vertex_connectivity(f).value
+    assert edge_connectivity(g)[0] == predict_edge_connectivity(f).value
+    assert min_degree(g) == predict_min_degree(f).value
 
 
 @PROPERTY_SETTINGS

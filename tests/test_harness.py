@@ -366,7 +366,9 @@ def test_chunked_raises_a_child_error(two_cpus):
 def test_chunked_reports_a_child_that_died(two_cpus):
     chunks = chunked(_exit_in_child, 4, 2000, jobs=2)
     assert next(chunks) == list(range(4, 128))
-    with pytest.raises(RuntimeError, match=r"^worker 1 ended before .* 128\.\.251$"):
+    with pytest.raises(
+        ChildProcessError, match=r"^worker 1 ended before .* 128\.\.251$"
+    ):
         next(chunks)
     assert multiprocessing.active_children() == []
 
