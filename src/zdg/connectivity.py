@@ -9,8 +9,10 @@ unit edge or vertex capacities, by shortest augmenting paths.  A flow
 that ends below its cutoff leaves its last, failed search as the
 witness: the source side of the minimum cut closest to the source.
 Vertex connectivity is the Menger minimum over a sufficient pair family
-rooted at a minimum-degree vertex (its non-neighbors, plus non-adjacent
-pairs inside its neighborhood).  Edge connectivity is the minimum of s-t
+rooted at a minimum-degree vertex: its non-neighbors, then the
+non-adjacent pairs inside its neighborhood (Esfahanian & Hakimi,
+Networks 14, 1984).  That family is walked once, as one sequence, and
+each shortcut is a filter on it.  Edge connectivity is the minimum of s-t
 max-flows from a fixed minimum-degree source; targets are restricted to a
 dominating set, which preserves exactness (a cut smaller than the
 minimum degree strands a dominated vertex on each side) while cutting
@@ -20,6 +22,8 @@ short-circuit flows whose value provably cannot lower the running
 minimum; the returned values are exactly the Menger minima either way.
 """
 from __future__ import annotations
+
+from itertools import chain, combinations
 
 
 class _View:
@@ -34,21 +38,6 @@ class _View:
         index = {v: i for i, v in enumerate(self.verts)}
         self.nbrs = [[index[w] for w in g.adjacency[v]] for v in self.verts]
         self.degs = [len(a) for a in self.nbrs]
-
-
-def _view_connected(view: _View) -> bool:
-    nv = len(view.verts)
-    seen = bytearray(nv)
-    seen[0] = 1
-    queue = [0]
-    count = 1
-    for u in queue:
-        for w in view.nbrs[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == nv
 
 
 def min_degree(g) -> int:
@@ -214,7 +203,15 @@ def _dominating_set(view: _View, root: int) -> list[int]:
 
 def _splittable(view: _View) -> bool:
     """Connected with two or more vertices; any other graph has 0 for both."""
-    return len(view.verts) > 1 and _view_connected(view)
+    seen = bytearray(len(view.verts))
+    seen[0] = 1
+    queue = [0]
+    for u in queue:
+        for w in view.nbrs[u]:
+            if not seen[w]:
+                seen[w] = 1
+                queue.append(w)
+    return len(queue) == len(view.verts) > 1
 
 
 def edge_connectivity(g) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -298,31 +295,25 @@ def vertex_connectivity(g) -> tuple[int, tuple[int, ...]]:
         return nv - 1, tuple(view.verts[: nv - 1])
     # connected and not complete, so nv >= 3 and some cut exists
     si = _min_degree_root(view)
-    delta = view.degs[si]
-    if delta == 1:
-        return 1, (view.verts[view.nbrs[si][0]],)
+    root_nbrs = view.nbrs[si]
+    if len(root_nbrs) == 1:
+        return 1, (view.verts[root_nbrs[0]],)
     ap = _smallest_articulation(view)
     if ap is not None:
         return 1, (view.verts[ap],)
-    lower = 2  # biconnected
-    best = delta
-    witness = tuple(view.verts[j] for j in view.nbrs[si])
-    if best <= lower:
-        return best, witness
-    net = None  # built by the first flow the common-neighbor count allows
+    best = len(root_nbrs)
+    witness = tuple(view.verts[j] for j in root_nbrs)
     nbr_sets = [set(a) for a in view.nbrs]
-
-    def local_flow(a: int, b: int) -> None:
-        nonlocal best, witness, net
-        sa, sb = nbr_sets[a], nbr_sets[b]
-        if len(sa) > len(sb):
-            sa, sb = sb, sa
-        common = 0
-        for z in sa:
-            if z in sb:
-                common += 1
-                if common >= best:
-                    return  # that many disjoint 2-paths already
+    pairs = chain(
+        ((si, b) for b in range(nv) if b != si and b not in nbr_sets[si]),
+        ((x, y) for x, y in combinations(root_nbrs, 2) if y not in nbr_sets[x]),
+    )
+    net = None  # built by the first flow the common-neighbor count allows
+    for a, b in pairs:
+        if best <= 2:
+            break  # biconnected, so 2 is exact
+        if len(nbr_sets[a] & nbr_sets[b]) >= best:
+            continue  # that many disjoint 2-paths already
         if net is None:
             net = _split_network(view)
         dirty: list[int] = []
@@ -335,21 +326,4 @@ def vertex_connectivity(g) -> tuple[int, tuple[int, ...]]:
                 if 2 * i in reached and 2 * i + 1 not in reached
             )
         net.restore(dirty)
-
-    root_nbrs = view.nbrs[si]
-    root_set = nbr_sets[si]
-    for b in range(nv):
-        if best <= lower:
-            break
-        if b != si and b not in root_set:
-            local_flow(si, b)
-    for xi in range(len(root_nbrs)):
-        if best <= lower:
-            break
-        for yi in range(xi + 1, len(root_nbrs)):
-            if best <= lower:
-                break
-            x, y = root_nbrs[xi], root_nbrs[yi]
-            if y not in nbr_sets[x]:
-                local_flow(x, y)
     return best, witness

@@ -71,18 +71,6 @@ class DegreeProfile(NamedTuple):
     class_degrees: dict[int, int]
     degree_counts: dict[int, int]
 
-    @property
-    def min_degree(self) -> int:
-        return min(self.class_degrees.values())
-
-    @property
-    def num_vertices(self) -> int:
-        return sum(self.degree_counts.values())
-
-    @property
-    def edge_count(self) -> int:
-        return sum(d * c for d, c in self.degree_counts.items()) // 2
-
 
 def build_compressed(n: int) -> CompressedZdg:
     """Compress Z_n's zero-divisor graph onto its divisor classes.
@@ -141,9 +129,10 @@ def class_members(n: int, d: int) -> list[int]:
 class QuotientReport(NamedTuple):
     """quotient_report's values, with its witness named by class.
 
-    root is the smallest class of degree delta, and it names both cuts.
-    The edge cut joins the residue root to its neighbors, the other
-    members of class n/root, and the first kappa members of that class are
+    delta is also kappa_e and kappa, which quotient_report certifies equal
+    to it.  root is the smallest class of degree delta, and it names both
+    cuts.  The edge cut joins the residue root to its neighbors, the other
+    members of class n/root, and the first delta members of that class are
     the vertex cut (for n = p^2 that class is the whole, complete graph).
     residue_witnesses expands both cuts to residues.
     """
@@ -152,8 +141,6 @@ class QuotientReport(NamedTuple):
     num_vertices: int
     num_edges: int
     delta: int
-    kappa_e: int
-    kappa: int
     root: int
 
 
@@ -163,11 +150,12 @@ def residue_witnesses(
     """rep's vertex and edge cut in residues, in the flow oracle's form."""
     members, r = class_members(rep.n, rep.n // rep.root), rep.root
     edges = ((min(r, v), max(r, v)) for v in members if v != r)
-    return tuple(members[: rep.kappa]), tuple(sorted(edges))
+    return tuple(members[: rep.delta]), tuple(sorted(edges))
 
 
 def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientReport:
-    """delta, kappa_e and kappa of Z_n's zero-divisor graph from its classes.
+    """delta of Z_n's zero-divisor graph from its classes, certified equal
+    to kappa_e and kappa.
 
     classes yields (d, size) once per proper divisor d of n, in any order.
     No flow runs and no class adjacency is built.  Each class is a module:
@@ -220,7 +208,7 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
             f"n={n}: smallest class {small_class} has size {smallest} < "
             f"delta={delta}, so kappa = delta is not certified"
         )
-    return QuotientReport(n, num_vertices, ends // 2, delta, delta, delta, root)
+    return QuotientReport(n, num_vertices, ends // 2, delta, root)
 
 
 def graph_size(f: Factorization) -> tuple[int, int]:

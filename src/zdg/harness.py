@@ -54,9 +54,10 @@ def analyze(n: int) -> AuditFinding:
     The explicit_size guard runs first, on the factorization alone, so the
     same n are refused as by build_explicit and a refused n builds no
     class.  Then quotient_report takes the classes of the one factorization
-    in the order divisor_classes makes them.  Raises CertificateError naming n
-    if the guard's closed-form counts differ from the classes' sums, or if
-    the engine's witness is not rooted at p, the least prime.
+    in the order divisor_classes makes them; it certifies kappa = kappa_e =
+    delta, so its delta fills all three cells.  Raises CertificateError
+    naming n if the guard's closed-form counts differ from the classes'
+    sums, or if the engine's witness is not rooted at p, the least prime.
     """
     f = factorize(n)  # validates the 64-bit range
     ftext = format_factorization(f)
@@ -82,9 +83,8 @@ def analyze(n: int) -> AuditFinding:
     value, tags = predict(f)
     # positional, which is cheaper than keywords: AuditFinding's field order
     return AuditFinding(
-        n, ftext, num_vertices, num_edges, rep.delta, rep.kappa_e, rep.kappa,
-        value, value, value, ";".join(tags),
-        rep.delta == rep.kappa_e == rep.kappa == value,
+        n, ftext, num_vertices, num_edges, rep.delta, rep.delta, rep.delta,
+        value, value, value, ";".join(tags), rep.delta == value,
     )
 
 

@@ -15,7 +15,12 @@ from sympy import totient
 from zdg.arith import factorize
 from zdg.connectivity import edge_connectivity, vertex_connectivity
 from zdg.formulas import predict_min_degree, predict_vertex_connectivity, witness_cut
-from zdg.graphs import build_compressed, build_explicit, degree_profile
+from zdg.graphs import (
+    build_compressed,
+    build_explicit,
+    degree_profile,
+    quotient_report,
+)
 from zdg.harness import analyze, audit, sweep
 
 from brute import _brute_kappa, _brute_kappa_e
@@ -168,7 +173,7 @@ def test_criterion_09_quotient_consistency_to_2000():
         if len(g.vertices) != n - totient(n) - 1:
             bad.append(n)
     t0 = time.perf_counter()
-    delta_large = degree_profile(build_compressed(10**6)).min_degree
+    delta_large = quotient_report(*build_compressed(10**6)).delta
     elapsed = time.perf_counter() - t0
     predicted = predict_min_degree(factorize(10**6)).value
     ok = (

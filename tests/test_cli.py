@@ -439,7 +439,8 @@ def _raised_class(module, node: ast.expr):
 def test_every_raise_is_one_line():
     # a raise the CLI does not catch prints a traceback and exits 1, the
     # usage-error code; a name bound by an except clause is a caught error
-    # passed on, which is checked where it was first raised
+    # passed on, which is checked where it was first raised.  An assert
+    # fails the same way, and under python -O it is not checked at all
     package = Path(zdg.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -448,6 +449,8 @@ def test_every_raise_is_one_line():
         tree = ast.parse(path.read_text())
         caught = {h.name for h in ast.walk(tree) if isinstance(h, ast.ExceptHandler)}
         for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             if isinstance(node.exc, ast.Name) and node.exc.id in caught:

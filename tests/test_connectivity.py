@@ -184,15 +184,16 @@ def test_quotient_matches_explicit_to_1500():
         g = build_explicit(n)
         quo = quotient_report(*build_compressed(n))
         vcut, ecut = residue_witnesses(quo)
-        fields = ("num_vertices", "num_edges", "delta", "kappa_e", "kappa")
-        assert tuple(getattr(quo, k) for k in fields) == _oracle_values(g), n
+        assert (quo.num_vertices, quo.num_edges) + (quo.delta,) * 3 == (
+            _oracle_values(g)
+        ), n
         verts = list(g.vertices)
-        assert len(set(vcut)) == len(vcut) == quo.kappa, n
+        assert len(set(vcut)) == len(vcut) == quo.delta, n
         assert set(vcut) <= set(verts), n
-        assert len(verts) - quo.kappa == 1 or not _alive_connected(
+        assert len(verts) - quo.delta == 1 or not _alive_connected(
             verts, g.adjacency, frozenset(vcut)
         ), n
-        assert len(set(ecut)) == len(ecut) == quo.kappa_e, n
+        assert len(set(ecut)) == len(ecut) == quo.delta, n
         assert all(w in g.adjacency[u] for u, w in ecut), n
         assert len(verts) == 1 or not _alive_connected(
             verts, g.adjacency, frozenset(), frozenset(ecut)
@@ -217,14 +218,14 @@ def test_explicit_matches_networkx_61_to_150():
 
 def test_quotient_report_witnesses():
     rep = quotient_report(*build_compressed(105))
-    assert (rep.delta, rep.kappa_e, rep.kappa) == (2, 2, 2)
+    assert rep.delta == 2
     assert rep.root == 3
     assert residue_witnesses(rep) == ((35, 70), ((3, 35), (3, 70)))
     rep = quotient_report(*build_compressed(25))  # K_4
     assert rep.root == 5
     assert residue_witnesses(rep)[0] == (5, 10, 15)
     rep = quotient_report(*build_compressed(4))  # K_1
-    assert (rep.num_vertices, rep.delta, rep.kappa_e, rep.kappa) == (1, 0, 0, 0)
+    assert (rep.num_vertices, rep.delta) == (1, 0)
     assert residue_witnesses(rep) == ((), ())
 
 
@@ -244,7 +245,7 @@ def test_residue_witnesses_pinned_to_60000():
         rep = quotient_report(*build_compressed(n))
         # the engine's class witness is the closed form's: predict(f)
         # multiples of n/p, p the smallest prime
-        assert (rep.root, rep.kappa) == (f.factors[0][0], predict(f)[0]), n
+        assert (rep.root, rep.delta) == (f.factors[0][0], predict(f)[0]), n
         vcut, ecut = residue_witnesses(rep)
         digest.update(f"{n}:{vcut}:{ecut}\n".encode())
     assert digest.hexdigest() == (
@@ -330,7 +331,7 @@ def test_quotient_report_is_linear_in_classes(n):
     rep = quotient_report(*c)
     assert time.perf_counter() - t0 < 0.5
     f = factorize(n)
-    assert (rep.delta, rep.kappa_e, rep.kappa) == (
+    assert (rep.delta,) * 3 == (
         predict_min_degree(f).value,
         predict_edge_connectivity(f).value,
         predict_vertex_connectivity(f).value,
@@ -464,6 +465,18 @@ _SATURATED_SOURCE_EDGE = {
     70: (10, 20, 40),
 }
 
+# the only 3-vertex separator is {10, 20, 30}, which holds every vertex of
+# least degree, so only a pair inside the root's neighborhood finds it
+_ROOT_IN_EVERY_SEPARATOR = {
+    10: (40, 50, 60, 70),
+    20: (40, 50, 60, 70),
+    30: (40, 50, 60, 70),
+    40: (10, 20, 30, 50),
+    50: (10, 20, 30, 40),
+    60: (10, 20, 30, 70),
+    70: (10, 20, 30, 60),
+}
+
 
 def _labelled_graph(nv: int, mask: int) -> SimpleNamespace:
     """The graph on nv vertices with an edge on the b-th pair of
@@ -482,16 +495,16 @@ def _labelled_graph(nv: int, mask: int) -> SimpleNamespace:
 
 def _oracle_graphs():
     """Every labelled graph on 1 to 6 vertices (33,867 graphs), a seeded
-    sample of 1,000 graphs on 7, and _SATURATED_SOURCE_EDGE."""
+    sample of 1,000 graphs on 7, _SATURATED_SOURCE_EDGE and
+    _ROOT_IN_EVERY_SEPARATOR."""
     for nv in range(1, 7):
         for mask in range(1 << nv * (nv - 1) // 2):
             yield _labelled_graph(nv, mask)
     rng = random.Random(20261018)
     for _ in range(1000):
         yield _labelled_graph(7, rng.getrandbits(21))
-    yield SimpleNamespace(
-        vertices=tuple(_SATURATED_SOURCE_EDGE), adjacency=_SATURATED_SOURCE_EDGE
-    )
+    for adj in (_SATURATED_SOURCE_EDGE, _ROOT_IN_EVERY_SEPARATOR):
+        yield SimpleNamespace(vertices=tuple(adj), adjacency=adj)
 
 
 def test_vertex_connectivity_matches_brute_force():
