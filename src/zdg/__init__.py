@@ -8,7 +8,6 @@ from .formulas import (
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
-    witness_cut,
 )
 from .graphs import (
     CompressedZdg,
@@ -51,5 +50,4 @@ __all__ = [
     "quotient_report",
     "render",
     "sweep",
-    "witness_cut",
 ]

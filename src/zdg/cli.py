@@ -14,9 +14,7 @@ from collections.abc import Iterable
 
 from .errors import CertificateError, ResourceLimitError
 from .graphs import export_dot
-from .harness import (
-    analyze, audit_chunks, csv_chunk, render, summary, sweep_text,
-)
+from .harness import audit_chunks, csv_chunk, summary, sweep_text
 
 
 _OPTIONS = {
@@ -86,8 +84,7 @@ def _emit(chunks: Iterable[str], output: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    finding = analyze(args.n)
-    _emit([render([finding], args.format)], args.output)
+    _emit(sweep_text(args.n, args.n, args.format), args.output)
     return 0
 
 

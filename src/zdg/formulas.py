@@ -4,7 +4,7 @@ For composite n the three quantities (vertex connectivity, edge
 connectivity, minimum degree) coincide and depend only on the smallest
 prime p, except that n = p^2 drops one lower: its graph is complete on
 p - 1 vertices.  predict tags each value with its closed form, so audits
-can report which branch fired.  The witness is always multiples of n/p.
+can report which branch fired.
 """
 from __future__ import annotations
 
@@ -61,16 +61,3 @@ def predict_min_degree(f: Factorization) -> Prediction:
     value, tags = predict(f)
     return Prediction(f.n, "min_degree", value, tags[0])
 
-
-def witness_cut(f: Factorization) -> tuple[int, ...]:
-    """A vertex cut realizing the predicted vertex connectivity, ascending.
-
-    The first predict(f) nonzero multiples of n/p, p the smallest prime:
-    the class n/root of quotient_report's witness.  Several primes or
-    n = p^k, k >= 3: all p - 1 of them, the whole neighborhood of the
-    vertex p, so deleting them isolates it.  n = p^2: p - 2 of the p - 1
-    vertices of the complete graph, leaving K_1.
-    """
-    count = predict(f)[0]  # refuses n = 1 and n prime first
-    d = f.n // f.factors[0][0]
-    return tuple(range(d, count * d + 1, d))

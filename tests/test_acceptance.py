@@ -14,12 +14,13 @@ from sympy import totient
 
 from zdg.arith import factorize
 from zdg.connectivity import edge_connectivity, vertex_connectivity
-from zdg.formulas import predict_min_degree, predict_vertex_connectivity, witness_cut
+from zdg.formulas import predict_min_degree, predict_vertex_connectivity
 from zdg.graphs import (
     build_compressed,
     build_explicit,
     degree_profile,
     quotient_report,
+    residue_witnesses,
 )
 from zdg.harness import analyze, audit, sweep
 
@@ -138,7 +139,7 @@ def test_criterion_08_witness_soundness_to_1500():
     bad = []
     for n in _composites(4, 1500):
         f = factorize(n)
-        cut = set(witness_cut(f))
+        cut = set(residue_witnesses(quotient_report(*build_compressed(n)))[0])
         if len(cut) != predict_vertex_connectivity(f).value:
             bad.append(n)
             continue

@@ -117,10 +117,25 @@ _RANGE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "jobs, method",
+    [
+        pytest.param("1", None, id="1"),
+        # each start method's children; "2" forks, Linux's default before
+        # Python 3.14, which defaults to forkserver
+        pytest.param("2", "fork", id="2"),
+        pytest.param("2", "spawn", id="2-spawn"),
+        pytest.param("2", "forkserver", id="2-forkserver"),
+    ],
+)
 @pytest.mark.parametrize("command, stop, fmt", list(_RANGE_SHA256))
-def test_range_bytes_pinned(tmp_path, monkeypatch, command, stop, fmt, jobs):
+def test_range_bytes_pinned(
+    tmp_path, monkeypatch, command, stop, fmt, jobs, method
+):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a child on any host
+    if method is not None:
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(multiprocessing, "Process", context.Process)
     path = tmp_path / "out"
     argv = [command, "--from", "4", "--to", stop, "--jobs", jobs]
     argv += ["--format", fmt] * (fmt is not None) + ["--output", str(path)]

@@ -1,4 +1,4 @@
-"""Closed-form connectivity predictions and their witness cuts."""
+"""Closed-form connectivity predictions, and the witness cut they size."""
 from __future__ import annotations
 
 import hashlib
@@ -17,9 +17,10 @@ from zdg.formulas import (
     predict_edge_connectivity,
     predict_min_degree,
     predict_vertex_connectivity,
-    witness_cut,
 )
-from zdg.graphs import build_explicit
+from zdg.graphs import (
+    build_explicit, divisor_classes, quotient_report, residue_witnesses,
+)
 
 from test_arith import HARD_INPUTS
 
@@ -100,7 +101,6 @@ def test_non_composite_rejected():
         predict_vertex_connectivity,
         predict_edge_connectivity,
         predict_min_degree,
-        witness_cut,
     )
     for n in (1, 2, 3, 7, 97):
         f = factorize(n)
@@ -113,8 +113,9 @@ def test_non_composite_rejected():
 
 def test_closed_forms_pinned():
     # sha256 of predict's value and tags, or its refusal, on 1..10^5 and
-    # the hard inputs, and of witness_cut on the composites up to 10^5, as
-    # recorded while predict and witness_cut each made their own case split
+    # the hard inputs, and of the engine's residue vertex cut on the
+    # composites up to 10^5, as recorded while predict made its own case
+    # split and the cut was rebuilt from the factorization
     predicted, cuts = hashlib.sha256(), hashlib.sha256()
     for n in [*range(1, 10**5 + 1), *HARD_INPUTS]:
         f = factorize(n)
@@ -125,22 +126,14 @@ def test_closed_forms_pinned():
             continue
         predicted.update(f"{n}:{value}:{tags}\n".encode())
         if n <= 10**5:
-            cuts.update(f"{n}:{witness_cut(f)}\n".encode())
+            rep = quotient_report(n, divisor_classes(f))
+            cuts.update(f"{n}:{residue_witnesses(rep)[0]}\n".encode())
     assert predicted.hexdigest() == (
         "001313b65db49a93430132201628701ebef040d2892389ff00ebd5e80c2fd1d4"
     )
     assert cuts.hexdigest() == (
         "fd07250bf0bbcd9fe8d658dc601ce2baf6d1f5a3579bfbb54b9cc473d497288c"
     )
-
-
-def test_witness_cut_values():
-    assert witness_cut(factorize(9)) == (3,)
-    assert witness_cut(factorize(25)) == (5, 10, 15)
-    assert witness_cut(factorize(27)) == (9, 18)
-    assert witness_cut(factorize(8)) == (4,)
-    assert witness_cut(factorize(12)) == (6,)
-    assert witness_cut(factorize(105)) == (35, 70)
 
 
 def test_prime_square_beats_general_branch():
@@ -167,7 +160,7 @@ def test_three_quantities_agree_and_follow_smallest_prime(n):
         assert kv == p - 2
     else:
         assert kv == p - 1
-    cut = witness_cut(f)
+    cut = residue_witnesses(quotient_report(n, divisor_classes(f)))[0]
     assert len(cut) == kv
     assert list(cut) == sorted(set(cut))
     assert all(0 < v < n and gcd(v, n) > 1 for v in cut)
@@ -181,23 +174,3 @@ def test_predictions_match_measured_connectivity(n):
     assert vertex_connectivity(g)[0] == predict_vertex_connectivity(f).value
     assert edge_connectivity(g)[0] == predict_edge_connectivity(f).value
     assert min_degree(g) == predict_min_degree(f).value
-
-
-@PROPERTY_SETTINGS
-@given(composite_mid)
-def test_witness_cut_disconnects(n):
-    f = factorize(n)
-    g = build_explicit(n)
-    cut = set(witness_cut(f))
-    assert cut <= set(g.vertices)
-    keep = [v for v in g.vertices if v not in cut]
-    if len(keep) <= 1:
-        return
-    seen = {keep[0]}
-    queue = [keep[0]]
-    for u in queue:
-        for w in g.adjacency[u]:
-            if w not in cut and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    assert len(seen) < len(keep)
