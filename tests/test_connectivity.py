@@ -227,13 +227,6 @@ def test_quotient_report_witnesses():
     rep = quotient_report(*build_compressed(4))  # K_1
     assert (rep.num_vertices, rep.delta) == (1, 0)
     assert residue_witnesses(rep) == ((), ())
-    # the delta nonzero multiples of n/p, p the smallest prime
-    for n, vcut in (
-        (9, (3,)), (25, (5, 10, 15)), (27, (9, 18)), (8, (4,)), (12, (6,)),
-        (105, (35, 70)),
-    ):
-        rep = quotient_report(*build_compressed(n))
-        assert residue_witnesses(rep)[0] == vcut, n
 
 
 def test_residue_witnesses_pinned_to_60000():

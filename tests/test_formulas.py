@@ -136,6 +136,21 @@ def test_closed_forms_pinned():
     )
 
 
+def test_witness_cut_values():
+    # the engine's vertex cut: the delta nonzero multiples of n/p, p the
+    # smallest prime
+    def cut(n):
+        rep = quotient_report(n, divisor_classes(factorize(n)))
+        return residue_witnesses(rep)[0]
+
+    assert cut(9) == (3,)
+    assert cut(25) == (5, 10, 15)
+    assert cut(27) == (9, 18)
+    assert cut(8) == (4,)
+    assert cut(12) == (6,)
+    assert cut(105) == (35, 70)
+
+
 def test_prime_square_beats_general_branch():
     # the general smallest-prime rule would give p - 1 on p^2; the complete
     # graph there only supports p - 2
