@@ -130,10 +130,11 @@ class QuotientReport(NamedTuple):
     """quotient_report's values, with its witness named by class.
 
     delta is also kappa_e and kappa, which quotient_report certifies equal
-    to it.  root is the smallest class of degree delta, and it names both
-    cuts.  The edge cut joins the residue root to its neighbors, the other
-    members of class n/root, and the first delta members of that class are
-    the vertex cut (for n = p^2 that class is the whole, complete graph).
+    to it.  root is the class of degree delta (no two classes share one),
+    and it names both cuts.  The edge cut joins the residue root to its
+    neighbors, the other members of class n/root, and the first delta
+    members of that class are the vertex cut (for n = p^2 that class is
+    the whole, complete graph).
     residue_witnesses expands both cuts to residues.
     """
 
@@ -157,20 +158,20 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
     """delta of Z_n's zero-divisor graph from its classes, certified equal
     to kappa_e and kappa.
 
-    classes yields (d, size) once per proper divisor d of n, in any order.
-    No flow runs and no class adjacency is built.  Each class is a module:
-    its members are twins, and it is an independent set or a clique
-    (Anderson & Livingston, J. Algebra 217, 1999).  A minimum separator of
-    non-adjacent u and v is therefore their shared neighborhood (u, v in
-    one class, size >= delta) or a nonempty union of whole classes (size
-    >= the smallest class).  So once the class graph is certified
-    connected and no class is smaller than delta, kappa >= delta; the
-    root's star gives kappa <= delta, and Whitney's chain kappa <= kappa_e
-    <= delta gives kappa_e = delta.  A complete graph (n = p^2, or K_1 at
-    n = 4) has kappa = delta = m - 1 on m vertices.  Raises CertificateError,
-    naming the smallest class at fault, when a certificate fails, and
-    NoZeroDivisorsError when there is no class (n = 1 or n prime).  The
-    witness is returned as its root class (QuotientReport).
+    classes yields (d, size) for a set of proper divisors d of n, each at
+    most once, with any sizes, in any order.  No flow runs and no class
+    adjacency is built.  Each class is a module: its members are twins, and
+    it is an independent set or a clique (Anderson & Livingston,
+    J. Algebra 217, 1999).  A minimum separator of non-adjacent u and v is
+    therefore their shared neighborhood (u, v in one class, size >= delta)
+    or a nonempty union of whole classes (size >= the smallest class).  So
+    once the class graph is certified connected and no class is smaller
+    than delta, kappa >= delta; the root's star gives kappa <= delta, and
+    Whitney's chain kappa <= kappa_e <= delta gives kappa_e = delta.
+    Raises CertificateError, naming the smallest class at fault, when a
+    certificate fails, and NoZeroDivisorsError when there is no class
+    (n = 1 or n prime).  The witness is returned as its root class
+    (QuotientReport).
 
     Connectedness goes through the hub L = n/p, p the smallest class.
     Classes d and e are adjacent when n | d*e, so a class d != L is joined
@@ -188,11 +189,13 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
         degree = d - 1 - (d * d % n == 0)  # _class_degree(n, d), inlined
         num_vertices += size
         ends += size * degree
-        if degree < delta or degree == delta and d < root:
+        # no tie: deg d = deg (d + 1) needs n | (d + 1)^2, so gcd(d, n) = 1
+        if degree < delta:
             delta, root = degree, d
         if size < smallest:
             smallest = size
-        if d < stranded and d != hub and not (
+        # d = hub passes: n // hub = min(present) is present, times hub is n
+        if d < stranded and not (
             hub_present
             and (d * hub % n == 0 or n // d in present and n // d * hub % n == 0)
         ):
@@ -202,7 +205,8 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
             f"n={n}: class {stranded} reaches class {hub} neither directly nor "
             f"through class {n // stranded}, so connectedness is not certified"
         )
-    if delta != num_vertices - 1 and smallest < delta:  # K_m has no separator
+    # no exemption for K_m: n = p^2 has one class, of p - 1 > delta members
+    if smallest < delta:
         small_class = min(d for d, size in classes if size == smallest)
         raise CertificateError(
             f"n={n}: smallest class {small_class} has size {smallest} < "

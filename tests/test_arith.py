@@ -271,10 +271,11 @@ def test_factorize_check_survives_optimize(run_optimized):
     proc = run_optimized(
         "import sys\n"
         "from zdg import arith\n"
+        "from zdg.errors import CertificateError\n"
         "arith._pollard_brent = lambda m: 1000033\n"
         "try:\n"
         "    arith.factorize(1000003 * 1000037)\n"
-        "except RuntimeError as err:\n"
+        "except CertificateError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from zdg.connectivity import (
     min_degree,
     vertex_connectivity,
 )
-from zdg.errors import ResourceLimitError
+from zdg.errors import CertificateError, ResourceLimitError
 from zdg.formulas import (
     predict,
     predict_edge_connectivity,
@@ -259,17 +259,27 @@ def _shuffled(classes, seed=0):
     return classes
 
 
-def test_quotient_refuses_small_class():
-    # class 21 of Z_105 weighted 1 instead of 4 is a separator of classes 3
-    # and 5 smaller than delta = 2, which no zero-divisor graph has; the
-    # kappa >= delta certificate fails and the engine must raise rather
-    # than report an uncertified value
-    c = build_compressed(105)
-    planted = [(d, 1 if d == 21 else size) for d, size in c.classes]
-    with pytest.raises(RuntimeError) as err:
-        quotient_report(105, _shuffled(planted))
+@pytest.mark.parametrize(
+    "n, planted, small_class",
+    [
+        # class 21 of Z_105 weighted 1 instead of 4 is a separator of
+        # classes 3 and 5 smaller than delta = 2, which no zero-divisor
+        # graph has
+        (105, [(3, 24), (5, 12), (7, 8), (15, 6), (21, 1), (35, 2)], 21),
+        # 3 vertices with degree sums 14 and 10, so no simple graph, though
+        # delta = 2 = m - 1 is the minimum degree of the complete graph K_3
+        (21, [(7, 2), (3, 1)], 3),
+        (16, [(4, 2), (8, 1)], 8),
+    ],
+    ids=["105", "21", "16"],
+)
+def test_quotient_refuses_small_class(n, planted, small_class):
+    # the kappa >= delta certificate fails, and the engine must raise
+    # rather than report an uncertified value
+    with pytest.raises(CertificateError) as err:
+        quotient_report(n, _shuffled(planted))
     assert str(err.value) == (
-        "n=105: smallest class 21 has size 1 < delta=2, "
+        f"n={n}: smallest class {small_class} has size 1 < delta=2, "
         "so kappa = delta is not certified"
     )
 
@@ -279,13 +289,14 @@ def test_quotient_check_survives_optimize(run_optimized):
     proc = run_optimized(
         "import sys\n"
         "import random\n"
+        "from zdg.errors import CertificateError\n"
         "from zdg.graphs import build_compressed, quotient_report\n"
         "c = build_compressed(105)\n"
         "sizes = [(d, 1 if d == 21 else k) for d, k in c.classes]\n"
         "random.Random(0).shuffle(sizes)\n"
         "try:\n"
         "    quotient_report(105, sizes)\n"
-        "except RuntimeError as err:\n"
+        "except CertificateError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -306,7 +317,7 @@ def test_quotient_check_survives_optimize(run_optimized):
 def test_quotient_refuses_disconnected_classes(dropped, stranded):
     c = build_compressed(105)
     planted = [(d, size) for d, size in c.classes if d not in dropped]
-    with pytest.raises(RuntimeError) as err:
+    with pytest.raises(CertificateError) as err:
         quotient_report(105, _shuffled(planted))
     assert str(err.value) == (
         f"n=105: class {stranded} reaches class 35 neither directly nor "

@@ -103,10 +103,11 @@ def test_edge_sum_check_survives_optimize(run_optimized):
     proc = run_optimized(
         "import sys\n"
         "from zdg import graphs\n"
+        "from zdg.errors import CertificateError\n"
         "graphs.graph_size = lambda f: (3, 5)\n"
         "try:\n"
         "    graphs.build_explicit(8)\n"
-        "except RuntimeError as err:\n"
+        "except CertificateError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr

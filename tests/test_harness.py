@@ -164,11 +164,12 @@ def test_size_cross_check_survives_optimize(run_optimized):
     proc = run_optimized(
         "import sys\n"
         "from zdg import graphs, harness\n"
+        "from zdg.errors import CertificateError\n"
         "size = graphs.graph_size\n"
         "graphs.graph_size = lambda f: (size(f)[0], size(f)[1] + 1)\n"
         "try:\n"
         "    harness.analyze(12)\n"
-        "except RuntimeError as err:\n"
+        "except CertificateError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -184,13 +185,14 @@ def test_witness_check_survives_optimize(run_optimized):
     proc = run_optimized(
         "import sys\n"
         "from zdg import harness\n"
+        "from zdg.errors import CertificateError\n"
         "report = harness.quotient_report\n"
         "def planted(n, classes):\n"
         "    return report(n, classes)._replace(root=7)\n"
         "harness.quotient_report = planted\n"
         "try:\n"
         "    harness.analyze(105)\n"
-        "except RuntimeError as err:\n"
+        "except CertificateError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr
