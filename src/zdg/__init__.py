@@ -1,22 +1,16 @@
-"""Zero-divisor graphs of Z_n: construction, exact connectivity, predictions."""
+"""Zero-divisor graphs of Z_n: the audit pipeline from n to its verdict.
+
+The explicit graph, the degree profile and the per-quantity predictions
+are the oracle side; import them from zdg.graphs and zdg.formulas.
+"""
 
 from .arith import Factorization, factorize, format_factorization
 from .errors import NoZeroDivisorsError, ResourceLimitError
-from .formulas import (
-    Prediction,
-    predict,
-    predict_edge_connectivity,
-    predict_min_degree,
-    predict_vertex_connectivity,
-)
+from .formulas import predict
 from .graphs import (
     CompressedZdg,
-    DegreeProfile,
-    ZeroDivisorGraph,
     build_compressed,
-    build_explicit,
     class_members,
-    degree_profile,
     export_dot,
     quotient_report,
 )
@@ -28,25 +22,17 @@ __all__ = [
     "AuditFinding",
     "AuditResult",
     "CompressedZdg",
-    "DegreeProfile",
     "Factorization",
     "NoZeroDivisorsError",
-    "Prediction",
     "ResourceLimitError",
-    "ZeroDivisorGraph",
     "analyze",
     "audit",
     "build_compressed",
-    "build_explicit",
     "class_members",
-    "degree_profile",
     "export_dot",
     "factorize",
     "format_factorization",
     "predict",
-    "predict_edge_connectivity",
-    "predict_min_degree",
-    "predict_vertex_connectivity",
     "quotient_report",
     "render",
     "sweep",

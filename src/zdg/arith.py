@@ -51,7 +51,6 @@ _PRIMORIAL = prod(_SMALL_PRIMES)
 _MR_TIERS = (
     (2047, (2,)),
     (1373653, (2, 3)),
-    (25326001, (2, 3, 5)),
     (4759123141, (2, 7, 61)),
     (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, _SMALL_PRIMES[:5]),

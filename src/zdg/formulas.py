@@ -4,7 +4,9 @@ For composite n the three quantities (vertex connectivity, edge
 connectivity, minimum degree) coincide and depend only on the smallest
 prime p, except that n = p^2 drops one lower: its graph is complete on
 p - 1 vertices.  predict tags each value with its closed form, so audits
-can report which branch fired.
+can report which branch fired.  The package root exports predict only;
+Prediction and the predict_* helpers, one per quantity, are imported from
+here.
 """
 from __future__ import annotations
 

@@ -16,7 +16,9 @@ quotient_report, the engine analyze, sweep and audit run, and export_dot
 read only this class rule and build no graph.  One pass over the classes
 in any order certifies kappa = kappa_e = delta, each class being a
 module, and names the witness cuts by class (residue_witnesses expands
-them).  The engine runs no flow; connectivity is its oracle.
+them).  The engine runs no flow; connectivity is its oracle, on the
+graph build_explicit makes.  build_explicit and degree_profile serve the
+oracle and the tests; the package root does not export them.
 """
 from __future__ import annotations
 

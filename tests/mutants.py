@@ -248,6 +248,26 @@ MUTANTS = [
         "    workers = min(jobs, length)\n",
         ("tests/test_harness.py::test_sweep_clamps_workers",),
     ),
+    Mutant(
+        "worker count not clamped to the range", "chunks.py",
+        "    workers = min(jobs, os.cpu_count() or 1, length)\n",
+        "    workers = min(jobs, os.cpu_count() or 1)\n",
+        ("tests/test_harness.py::test_sweep_clamps_workers",),
+    ),
+    Mutant(
+        "worker count not clamped", "chunks.py",
+        "    workers = min(jobs, os.cpu_count() or 1, length)\n",
+        "    workers = jobs\n",
+        ("tests/test_harness.py::test_sweep_clamps_workers",),
+    ),
+    # __init__.py: the package root
+    Mutant(
+        "build_explicit exported from the root again", "__init__.py",
+        "__all__ = [\n",
+        "from .graphs import build_explicit\n\n__all__ = [\n"
+        '    "build_explicit",\n',
+        ("tests/test_cli.py::test_root_exports_the_audit_pipeline_only",),
+    ),
     # cli.py: flags and exit codes
     Mutant(
         "export-dot given --jobs", "cli.py",
@@ -465,13 +485,6 @@ EQUIVALENT = [
         "        if d < stranded and d != hub and not (\n",
         "if d is the hub, n // d = min(present) is present and "
         "(n // d) * hub = n, so the test passes for it anyway",
-    ),
-    Equivalent(
-        "psi_3 row dropped", "arith.py",
-        "    (25326001, (2, 3, 5)),\n",
-        "",
-        "m in [psi_2, psi_3) is then tested on (2, 7, 61), exact below "
-        "4759123141, which are three bases as well",
     ),
     Equivalent(
         "psi_7 row dropped", "arith.py",

@@ -569,6 +569,34 @@ def test_import_loads_no_pool_or_dataclasses(child_env):
     assert [m for m in added if m.startswith(heavy)] == []
 
 
+def test_root_exports_the_audit_pipeline_only():
+    # the oracle side keeps one import path, the module that defines it,
+    # which is where perfbench/ and the tests read it
+    assert sorted(zdg.__all__) == [
+        "AuditFinding", "AuditResult", "CompressedZdg", "Factorization",
+        "NoZeroDivisorsError", "ResourceLimitError", "analyze", "audit",
+        "build_compressed", "class_members", "export_dot", "factorize",
+        "format_factorization", "predict", "quotient_report", "render", "sweep",
+    ]
+    for name in zdg.__all__:
+        getattr(zdg, name)
+    oracle = {
+        "zdg.graphs": (
+            "ZeroDivisorGraph", "build_explicit", "DegreeProfile", "degree_profile",
+        ),
+        "zdg.formulas": (
+            "Prediction", "predict_min_degree", "predict_edge_connectivity",
+            "predict_vertex_connectivity",
+        ),
+    }
+    for module, names in oracle.items():
+        for name in names:
+            assert getattr(importlib.import_module(module), name).__module__ == module
+            assert not hasattr(zdg, name), name
+    with pytest.raises(ImportError):
+        from zdg import build_explicit  # noqa: F401
+
+
 def test_serial_sweep_loads_no_multiprocessing(child_env):
     # with one worker the runner starts no child, so nothing imports the
     # pool; and no command of the pipeline loads the flow oracle
