@@ -234,4 +234,4 @@ def format_factorization(f: Factorization) -> str:
     """Render like 2^2*3; the empty factorization (n = 1) renders as 1."""
     if not f.factors:
         return "1"
-    return "*".join(f"{p}^{a}" if a > 1 else str(p) for p, a in f.factors)
+    return "*".join([f"{p}^{a}" if a > 1 else f"{p}" for p, a in f.factors])

@@ -90,12 +90,15 @@ def divisor_classes(f: Factorization) -> list[tuple[int, int]]:
     # d leaves p^(a-b) in n/d, whose totient is (p-1)*p^(a-b-1), or 1 if b = a
     pairs = [(1, 1)]
     for p, a in f.factors:
-        q, t, powers = 1, (p - 1) * p ** (a - 1), []
-        for _ in range(a):
-            powers.append((q, t))
-            q *= p
-            t //= p
-        powers.append((q, 1))
+        if a == 1:  # most primes of most n: the loop's two pairs, unlooped
+            powers = ((1, p - 1), (p, 1))
+        else:
+            q, t, powers = 1, (p - 1) * p ** (a - 1), []
+            for _ in range(a):
+                powers.append((q, t))
+                q *= p
+                t //= p
+            powers.append((q, 1))
         pairs = [(d * q, t * s) for d, t in pairs for q, s in powers]
     return pairs[1:-1]  # the product makes d = 1 first and d = n last
 
@@ -161,9 +164,10 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
     to kappa_e and kappa.
 
     classes yields (d, size) for a set of proper divisors d of n, each at
-    most once, with any sizes, in any order.  No flow runs and no class
-    adjacency is built.  Each class is a module: its members are twins, and
-    it is an independent set or a clique (Anderson & Livingston,
+    most once, with any sizes, in any order; any iterable of pairs serves,
+    as it is read once, into a dict from d to size.  No flow runs and no
+    class adjacency is built.  Each class is a module: its members are
+    twins, and it is an independent set or a clique (Anderson & Livingston,
     J. Algebra 217, 1999).  A minimum separator of non-adjacent u and v is
     therefore their shared neighborhood (u, v in one class, size >= delta)
     or a nonempty union of whole classes (size >= the smallest class).  So
@@ -179,15 +183,14 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
     Classes d and e are adjacent when n | d*e, so a class d != L is joined
     to L directly when n | d*L, and otherwise through the class n/d.
     """
-    classes = tuple(classes)  # walked more than once; an iterator only once
-    present = {d for d, _ in classes}
+    present = dict(classes)  # read once: walked twice, and looked up by d
     if not present:
         raise _no_zero_divisors(n)
     hub = n // min(present)
     hub_present = hub in present
     num_vertices = ends = 0
     delta = smallest = root = stranded = n  # above every degree, size, class
-    for d, size in classes:
+    for d, size in present.items():
         degree = d - 1 - (d * d % n == 0)  # _class_degree(n, d), inlined
         num_vertices += size
         ends += size * degree
@@ -209,7 +212,7 @@ def quotient_report(n: int, classes: Iterable[tuple[int, int]]) -> QuotientRepor
         )
     # no exemption for K_m: n = p^2 has one class, of p - 1 > delta members
     if smallest < delta:
-        small_class = min(d for d, size in classes if size == smallest)
+        small_class = min(d for d, size in present.items() if size == smallest)
         raise CertificateError(
             f"n={n}: smallest class {small_class} has size {smallest} < "
             f"delta={delta}, so kappa = delta is not certified"

@@ -56,7 +56,7 @@ class Equivalent(NamedTuple):
 
 _SMALL_CLASS_CHECK = """\
     if smallest < delta:
-        small_class = min(d for d, size in classes if size == smallest)
+        small_class = min(d for d, size in present.items() if size == smallest)
         raise CertificateError(
             f"n={n}: smallest class {small_class} has size {smallest} < "
             f"delta={delta}, so kappa = delta is not certified"
@@ -107,7 +107,7 @@ MUTANTS = [
     Mutant(
         "smallest-class check as an assert", "graphs.py",
         _SMALL_CLASS_CHECK,
-        "    small_class = min(d for d, size in classes if size == smallest)\n"
+        "    small_class = min(d for d, size in present.items() if size == smallest)\n"
         + _as_assert(_SMALL_CLASS_CHECK, "smallest >= delta"),
         ("tests/test_connectivity.py::test_quotient_check_survives_optimize",),
     ),
@@ -126,7 +126,7 @@ MUTANTS = [
     Mutant(
         "hub taken from the first class", "graphs.py",
         "    hub = n // min(present)\n",
-        "    hub = n // classes[0][0]\n",
+        "    hub = n // next(iter(present))\n",
         ("tests/test_connectivity.py::test_quotient_report_ignores_class_order",),
     ),
     Mutant(
@@ -137,10 +137,16 @@ MUTANTS = [
     ),
     Mutant(
         "an assert in quotient_report", "graphs.py",
-        "    classes = tuple(classes)  # walked more than once; an iterator only once\n",
-        "    classes = tuple(classes)  # walked more than once; an iterator only once\n"
-        "    assert classes, n\n",
+        "    present = dict(classes)  # read once: walked twice, and looked up by d\n",
+        "    present = dict(classes)  # read once: walked twice, and looked up by d\n"
+        "    assert present, n\n",
         ("tests/test_cli.py::test_every_raise_is_one_line",),
+    ),
+    Mutant(
+        "exponent-1 powers in reverse order", "graphs.py",
+        "            powers = ((1, p - 1), (p, 1))\n",
+        "            powers = ((p, 1), (1, p - 1))\n",
+        ("tests/test_graphs.py::test_divisor_classes_unsorted",),
     ),
     Mutant(
         "edge-end check as an assert", "graphs.py",
