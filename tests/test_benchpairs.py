@@ -10,7 +10,13 @@ _PATH = Path(__file__).resolve().parents[1] / "tools" / "benchpairs.py"
 _SPEC = importlib.util.spec_from_file_location("benchpairs", _PATH)
 benchpairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(benchpairs)
-verdict, Verdict = benchpairs.verdict, benchpairs.Verdict
+Verdict = benchpairs.Verdict
+
+
+def verdict(parent, change, better, change_failed=0):
+    return benchpairs.verdict(parent, change, better,
+                              change_failed=change_failed)
+
 
 # median 14.5, inclusive quartiles 12.25 and 16.75: a gap must exceed 4.5
 PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
@@ -57,14 +63,18 @@ def test_verdict_higher_is_better():
 def test_verdict_needs_ten_pairs():
     v = verdict(PARENT[:9], _shifted(-5)[:9], "lower")
     assert (v.wins, v.pairs, v.holds) == (9, 9, False)
-    one = verdict([2.0], [1.0], "lower")
-    assert one == Verdict(2.0, 1.0, 2.0, 2.0, 1, 1, False)
+
+
+def test_verdict_fails_when_the_change_fails_operations():
+    # the timings alone would hold, as in the first test
+    v = verdict(PARENT, _shifted(-5), "lower", change_failed=1)
+    assert (v.wins, v.change_median, v.holds) == (10, 9.5, False)
 
 
 def test_verdict_rejects_unpaired_values():
     with pytest.raises(ValueError):
         verdict(PARENT, PARENT[:9], "lower")
     with pytest.raises(ValueError):
-        verdict([], [], "lower")
+        verdict([2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         verdict(PARENT, PARENT, "smaller")

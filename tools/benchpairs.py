@@ -1,20 +1,22 @@
 """Paired benchmark runs: a parent commit against the working tree.
 
     python tools/benchpairs.py --parent HEAD --workload dense-range \\
-        --first-seed 41 --pairs 10 --seconds 10
+        --first-seed 41 --pairs 10
 
 Each pair runs
 
     perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once in a `git archive` of the parent ref, unpacked to a temporary
-directory, and once in the working tree, on seeds first-seed,
-first-seed + 1, ...  The parent runs first in even pairs, the change in
-odd ones.  Each run prints one line: its side, seed, round count, whether
-its rows were correct, and its end-to-end metrics.  After a workload's
-pairs, one line per end-to-end metric of BENCHMARK.json gives both
-medians, the parent's quartiles, the pairs the change wins (ties count for
-neither side) and whether a claim of a gain holds (verdict).
+with T the `run_seconds` of BENCHMARK.json, once in a `git archive` of
+the parent ref, unpacked to a temporary directory, and once in the working
+tree, on seeds first-seed, first-seed + 1, ...  The parent runs first in
+even pairs, the change in odd ones.  Each run prints one line: its side,
+seed, round count, whether its rows were correct, its failed operations
+and its end-to-end metrics.
+After a workload's pairs, one line gives each side's share of failed
+operations, then one line per end-to-end metric of BENCHMARK.json gives
+both medians, the parent's quartiles, the pairs the change wins (ties
+count for neither side) and whether a claim of a gain holds (verdict).
 
 Standard library only.  A workload takes minutes, so no test runs this;
 tests/test_benchpairs.py checks the verdict on fixed numbers.
@@ -45,29 +47,31 @@ class Verdict(NamedTuple):
     holds: bool
 
 
-def verdict(parent: list[float], change: list[float], better: str) -> Verdict:
+def verdict(parent: list[float], change: list[float], better: str, *,
+            change_failed: int) -> Verdict:
     """Whether the change's values beat the parent's, pair by pair.
 
-    parent[i] and change[i] are one pair; better is "lower" or "higher".
-    The claim holds when at least MIN_PAIRS pairs ran, the change wins at
-    least nine tenths of them, and the medians differ in the better
-    direction by more than the distance between the parent's quartiles
-    (statistics.quantiles, inclusive method).
+    parent[i] and change[i] are one pair; better is "lower" or "higher";
+    change_failed counts the failed operations over all the change's runs.
+    The claim holds when no change run failed an operation (so none is
+    incorrect, and the change fails no more than the parent), at least
+    MIN_PAIRS pairs ran, the change wins at least nine tenths of them, and
+    the medians differ in the better direction by more than the distance
+    between the parent's quartiles (statistics.quantiles, inclusive method).
     """
-    if len(parent) != len(change) or not parent:
-        raise ValueError("need one parent and one change value per pair")
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("need one parent and one change value per pair, "
+                         "and at least two pairs")
     if better not in ("lower", "higher"):
         raise ValueError(f"better is 'lower' or 'higher', not {better!r}")
     sign = 1 if better == "lower" else -1
     pairs = len(parent)
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
-    if pairs > 1:
-        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    else:
-        q1 = q3 = parent[0]
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     holds = (
-        pairs >= MIN_PAIRS
+        change_failed == 0
+        and pairs >= MIN_PAIRS
         and 10 * wins >= 9 * pairs
         and sign * (p_med - c_med) > q3 - q1
     )
@@ -105,6 +109,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return {
         "rounds": detail["rounds"],
         "correct": result["correct"],
+        "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
     }
@@ -126,13 +131,17 @@ def _pairs(trees: dict[str, Path], workload: str, seeds: range,
 
 
 def _report(workload: str, runs: dict[str, list[dict]], metrics: list[dict]):
-    print(f"{workload}: parent median [q1, q3] -> change median, "
-          f"pairs the change wins")
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    shares = ", ".join(
+        f"{side} {failed[side]} of {sum(r['attempted'] for r in rs)}"
+        for side, rs in runs.items())
+    print(f"{workload}: failed operations {shares}; parent median [q1, q3] "
+          f"-> change median, pairs the change wins")
     for metric in metrics:
         name = metric["name"]
         v = verdict([r["metrics"][name] for r in runs["parent"]],
                     [r["metrics"][name] for r in runs["change"]],
-                    metric["better"])
+                    metric["better"], change_failed=failed["change"])
         gap = (v.change_median / v.parent_median - 1) if v.parent_median else 0
         print(f"  {name}: {v.parent_median:.6g} [{v.parent_q1:.6g}, "
               f"{v.parent_q3:.6g}] -> {v.change_median:.6g} ({gap:+.1%}), "
@@ -150,20 +159,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="repeatable; default every workload")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--seconds", type=int, required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1:
-        parser.error("--pairs and --seconds must be at least 1")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
         commit = _unpack(args.parent, Path(tmp))
         print(f"parent {commit}, change: the working tree at {ROOT}; seeds "
-              f"{seeds.start}..{seeds.stop - 1}, --seconds {args.seconds}",
+              f"{seeds.start}..{seeds.stop - 1}, --seconds {seconds}",
               flush=True)
         trees = {"parent": Path(tmp) / "parent", "change": ROOT}
         for workload in workloads:
-            runs = _pairs(trees, workload, seeds, args.seconds)
+            runs = _pairs(trees, workload, seeds, seconds)
             _report(workload, runs, bench["end_to_end"])
     return 0
 
