@@ -10,10 +10,11 @@ Below 1000 every prime of n is below 1000, so the cofactor is 1 once the
 last one is out and the p * p > cofactor exit comes no later: the gcd is
 not paid there.  A larger cofactor is tested with deterministic
 Miller-Rabin on the shortest base set proved exact below it (Jaeschke,
-Math. Comp. 61, 1993; see _is_prime).  A composite cofactor is split at
-its square root if it is a square, else at its gcd with the product of
-the primes between 1000 and 10^4, else by Pollard-Brent rho, so the worst
-64-bit inputs (balanced semiprimes near 3e9) take well under a second.
+Math. Comp. 61, 1993; see _is_prime).  A composite cofactor is split by
+one Fermat step if it is a square or a product of two close factors, else
+at its gcd with the product of the primes between 1000 and 10^4, else by
+Pollard-Brent rho, so the worst 64-bit inputs (balanced semiprimes near
+3e9 whose factors are not that close) take well under a second.
 """
 from __future__ import annotations
 
@@ -138,18 +139,23 @@ def factorize(n: int) -> Factorization:
 def _split(m: int, out: list[int]) -> None:
     """Append the prime factors of m, with multiplicity, to out.
 
-    m has no prime factor below _TRIAL_BOUND.  A square is split at its
-    root, where rho would need about sqrt(p) steps on p^2.  Otherwise one
-    gcd with _mid_primorial() splits off m's primes below _GCD_BOUND,
+    m has no prime factor below _TRIAL_BOUND.  One Fermat step comes
+    first: with a = ceil(sqrt(m)), if a^2 - m is a square b^2 then
+    m = (a - b)(a + b) splits at a - b.  A square is the case b = 0, where
+    rho would need about sqrt(p) steps on p^2.  The step catches any two
+    factors u*v = m with v - u below about 2.8 m^(1/4), about 1.5e5 near
+    2^63, which rho would find only after about sqrt(u) steps.  Otherwise
+    one gcd with _mid_primorial() splits off m's primes below _GCD_BOUND,
     which rho would find only after about sqrt(p) steps each; rho runs
     when that gcd is 1 or m itself.
     """
     if m < _PRIME_BELOW or _is_prime(m):
         out.append(m)
         return
-    r = isqrt(m)
-    if r * r == m:
-        d = r
+    a = isqrt(m - 1) + 1
+    b = isqrt(a * a - m)
+    if b * b == a * a - m:
+        d = a - b
     else:
         d = gcd(m, _mid_primorial())
         if d == 1 or d == m:

@@ -161,6 +161,18 @@ MUTANTS = [
         ("tests/test_graphs.py::test_edge_sum_check_survives_optimize",),
     ),
     Mutant(
+        "vertex limit written as >=", "graphs.py",
+        "    if num_vertices > MAX_EXPLICIT_VERTICES:\n",
+        "    if num_vertices >= MAX_EXPLICIT_VERTICES:\n",
+        ("tests/test_harness.py::test_guard_boundaries_on_analyze",),
+    ),
+    Mutant(
+        "vertex limit plus one", "graphs.py",
+        "    if num_vertices > MAX_EXPLICIT_VERTICES:\n",
+        "    if num_vertices > MAX_EXPLICIT_VERTICES + 1:\n",
+        ("tests/test_harness.py::test_guard_boundaries_on_analyze",),
+    ),
+    Mutant(
         "vertex-only size guard", "graphs.py",
         "    if num_edges > MAX_EXPLICIT_EDGES:\n",
         "    if False:\n",
@@ -215,6 +227,12 @@ MUTANTS = [
         "    if rep.root != p:\n",
         "    if False:\n",
         ("tests/test_harness.py::test_witness_check_survives_optimize",),
+    ),
+    Mutant(
+        "each mismatch counted twice", "harness.py",
+        "    mismatches = sum(1 for row in offenders if not row.skip_reason)\n",
+        "    mismatches = sum(2 for row in offenders if not row.skip_reason)\n",
+        ("tests/test_cli.py::test_audit_reports_a_planted_mismatch",),
     ),
     Mutant(
         "one output byte changed", "harness.py",
@@ -280,6 +298,12 @@ MUTANTS = [
         '    _add_options(p_dot, "output")\n',
         '    _add_options(p_dot, "output", "jobs")\n',
         ("tests/test_cli.py::test_unread_flags_are_usage_errors",),
+    ),
+    Mutant(
+        "audit exits 3 on a mismatch", "cli.py",
+        "    return 2 if mismatches else 0\n",
+        "    return 3 if mismatches else 0\n",
+        ("tests/test_cli.py::test_audit_reports_a_planted_mismatch",),
     ),
     Mutant(
         "exit 1 for a failed certificate", "cli.py",
@@ -452,8 +476,14 @@ MUTANTS = [
     ),
     Mutant(
         "square split taken out", "arith.py",
-        "    if r * r == m:\n",
+        "    if b * b == a * a - m:\n",
         "    if False:\n",
+        ("tests/test_arith.py::test_factorize_large_square",),
+    ),
+    Mutant(
+        "Fermat step's ceiling one too high on squares", "arith.py",
+        "    a = isqrt(m - 1) + 1\n",
+        "    a = isqrt(m) + 1\n",
         ("tests/test_arith.py::test_factorize_large_square",),
     ),
     Mutant(

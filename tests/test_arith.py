@@ -64,7 +64,8 @@ def test_format_factorization():
 
 
 def test_factorize_large_square():
-    # squares split at their root: rho alone needs about sqrt(p) steps on p^2
+    # squares split in one Fermat step at their root: rho alone needs about
+    # sqrt(p) steps on p^2
     for p in (1000003, 2147483647, 3037000493):
         runs = [_timed_factorize(p * p) for _ in range(3)]
         assert runs[0][0].factors == ((p, 2),)
@@ -75,6 +76,28 @@ def _timed_factorize(n):
     t0 = time.perf_counter()
     f = factorize(n)
     return f, time.perf_counter() - t0
+
+
+# 3036919999 * 3037070011 is within the Fermat step's reach near 2^63;
+# 3036919999 * 3037075999 (factors 156,000 apart) is just past it
+NEAR_SQUARES = [1000003 * 1000037, 3037000453 * 3037000493, 3036919999 * 3037070011]
+
+
+def test_factorize_near_square(monkeypatch):
+    # one Fermat step splits two factors closer than about 2.8 m^(1/4)
+    for n in NEAR_SQUARES:
+        runs = [_timed_factorize(n) for _ in range(3)]
+        assert runs[0][0].factors == _factors_of(n)
+        assert min(elapsed for _, elapsed in runs) < 0.001, n
+
+    def no_rho(m):
+        raise AssertionError(f"rho called on {m}")
+
+    monkeypatch.setattr(arith, "_pollard_brent", no_rho)
+    for n in NEAR_SQUARES:
+        assert factorize(n).factors == _factors_of(n), n
+    with pytest.raises(AssertionError, match="rho called on 9223356839846004001"):
+        factorize(3036919999 * 3037075999)
 
 
 def test_factorize_prime_squares_near_trial_bound():
@@ -274,13 +297,14 @@ def test_factorize_check_survives_optimize(run_optimized):
         "from zdg.errors import CertificateError\n"
         "arith._pollard_brent = lambda m: 1000033\n"
         "try:\n"
-        "    arith.factorize(1000003 * 1000037)\n"
+        "    arith.factorize(1000003 * 2000003)\n"
         "except CertificateError as err:\n"
         "    print(sys.flags.optimize, err)\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "1 n=1000040000111: prime powers multiply to 0, expected 1000040000111\n"
+        "1 n=2000009000009: prime powers multiply to 1000066001089, "
+        "expected 2000009000009\n"
     )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import zdg
-from zdg import graphs
+from zdg import graphs, harness
 from zdg.arith import factorize
 from zdg.cli import main
 from zdg.errors import CertificateError, ResourceLimitError
@@ -205,6 +205,23 @@ def test_audit_clean_range(capsys):
     # offenders listed above the verdict are exactly the prime skips
     assert len(lines) == 9
     assert all("NoZeroDivisors" in ln for ln in lines[:-1])
+
+
+def test_audit_reports_a_planted_mismatch(capsys, monkeypatch):
+    # predict one too high for n = 25: the audit prints that row and exits 2
+    real = harness.predict
+
+    def planted(f):
+        value, tags = real(f)
+        return value + (f.n == 25), tags
+
+    monkeypatch.setattr(harness, "predict", planted)
+    assert main(["audit", "--from", "4", "--to", "30", "--jobs", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "checked 19 composite values, 1 mismatches"
+    assert [ln for ln in lines[:-1] if "NoZeroDivisors" not in ln] == [
+        "25,5^2,4,6,3,3,3,4,4,4,T4.5;T4.1;T3.1,false,"
+    ]
 
 
 def _check_dot(text, n, color):

@@ -127,6 +127,24 @@ def test_resource_limit_is_the_explicit_guard(n, vertices, edges):
         assert (row.vertices, row.edges) == (vertices, edges)
 
 
+@pytest.mark.parametrize(
+    "n, vertices, edges, refused",
+    [
+        (599997, 200_000, 399_996, False),  # 3 * 199999: vertices at the limit
+        (369778, 200_001, 1_757_260, True),  # 2 * 19 * 37 * 263: one past it
+        (9973**2, 9972, 49_715_406, False),  # edges under the limit
+        (10007**2, 10006, 50_055_015, True),  # past the edge limit alone
+    ],
+)
+def test_guard_boundaries_on_analyze(n, vertices, edges, refused):
+    # no explicit graph is built: analyze decides on the closed-form counts
+    assert graphs.graph_size(factorize(n)) == (vertices, edges)
+    row = analyze(n)
+    assert (row.skip_reason == "ResourceLimit") == refused
+    if not refused:
+        assert (row.vertices, row.edges) == (vertices, edges)
+
+
 def test_refused_rows_pinned():
     # sha256 of these rows' CSV while the guard still summed the classes;
     # moving it ahead of compress must keep every row's bytes

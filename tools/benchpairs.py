@@ -1,30 +1,39 @@
-"""Paired benchmark runs: a parent commit against the working tree.
+"""Paired benchmark runs: a parent commit against HEAD, the change.
 
-    python tools/benchpairs.py --parent HEAD --workload dense-range \\
+    python tools/benchpairs.py --parent HEAD~1 --workload dense-range \\
         --first-seed 41 --pairs 10
 
+Commit the change first: the tool measures commits, not the working tree.
+It unpacks a `git archive` of the --parent ref and one of HEAD, each to
+its own temporary directory, so neither side carries a bytecode cache,
+untracked files or an old .perfbench_out/.  --parent HEAD is an A/A run.
 Each pair runs
 
     perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-with T the `run_seconds` of BENCHMARK.json, once in a `git archive` of
-the parent ref, unpacked to a temporary directory, and once in the working
-tree, on seeds first-seed, first-seed + 1, ...  The parent runs first in
-even pairs, the change in odd ones.  Each run prints one line: its side,
-seed, round count, whether its rows were correct, its failed operations
-and its end-to-end metrics.
+with T the `run_seconds` of BENCHMARK.json, once in each tree, on seeds
+first-seed, first-seed + 1, ...  The parent runs first in even pairs, the
+change in odd ones.  Each run prints one line: its side, seed, round
+count, whether its rows were correct, its failed operations and its
+end-to-end metrics.
 After a workload's pairs, one line gives each side's share of failed
 operations, then one line per end-to-end metric of BENCHMARK.json gives
 both medians, the parent's quartiles, the pairs the change wins (ties
 count for neither side) and whether a claim of a gain holds (verdict).
+The last line is one JSON object, the record: the parent ref, both
+commits, the Python version, the CPU count and run_seconds, then per
+workload every run and every end-to-end metric's verdict.
 
-Standard library only.  A workload takes minutes, so no test runs this;
-tests/test_benchpairs.py checks the verdict on fixed numbers.
+Standard library only.  A workload takes minutes, so no test runs it on
+the benchmark; tests/test_benchpairs.py checks the verdict and the record
+on fixed numbers.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -79,19 +88,16 @@ def verdict(parent: list[float], change: list[float], better: str, *,
 
 
 def _unpack(ref: str, dest: Path) -> str:
-    """Unpack a `git archive` of ref into dest; return ref's commit."""
-    def git(*args: str) -> str:
-        done = subprocess.run(["git", "-C", str(ROOT), *args],
-                              capture_output=True, text=True, check=True)
-        return done.stdout.strip()
+    """Unpack a `git archive` of ref into dest, a new directory; return
+    ref's commit."""
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", "-C", str(ROOT), *args],
+                              capture_output=True, check=True).stdout
 
-    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}")
-    tar = dest / "parent.tar"
-    git("archive", "--output", str(tar), commit)
-    tree = dest / "parent"
-    tree.mkdir()
-    subprocess.run(["tar", "-xf", str(tar), "-C", str(tree)], check=True)
-    tar.unlink()
+    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)],
+                   input=git("archive", commit), check=True)
     return commit
 
 
@@ -116,13 +122,15 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def _pairs(trees: dict[str, Path], workload: str, seeds: range,
-           seconds: int) -> dict[str, list[dict]]:
-    runs: dict[str, list[dict]] = {side: [] for side in trees}
+           seconds: int) -> list[dict]:
+    """Every run of the workload, in the order they ran."""
+    runs = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            run = _run(trees[side], workload, seed, seconds)
-            runs[side].append(run)
+            run = {"side": side, "seed": seed,
+                   **_run(trees[side], workload, seed, seconds)}
+            runs.append(run)
             values = " ".join(f"{k}={v:.6g}" for k, v in run["metrics"].items())
             print(f"{workload} seed {seed} {side}: rounds={run['rounds']} "
                   f"correct={run['correct']} failed={run['failed']} {values}",
@@ -130,23 +138,42 @@ def _pairs(trees: dict[str, Path], workload: str, seeds: range,
     return runs
 
 
-def _report(workload: str, runs: dict[str, list[dict]], metrics: list[dict]):
-    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+def workload_record(runs: list[dict], metrics: list[dict]) -> dict:
+    """A workload's runs and, per end-to-end metric, its verdict as a dict.
+
+    runs are the dicts _pairs returns, one parent and one change run per
+    seed; metrics are BENCHMARK.json's end_to_end entries.
+    """
+    sides = {side: [r for r in runs if r["side"] == side]
+             for side in ("parent", "change")}
+    change_failed = sum(r["failed"] for r in sides["change"])
+    return {
+        "runs": runs,
+        "metrics": {
+            m["name"]: verdict(
+                [r["metrics"][m["name"]] for r in sides["parent"]],
+                [r["metrics"][m["name"]] for r in sides["change"]],
+                m["better"], change_failed=change_failed)._asdict()
+            for m in metrics
+        },
+    }
+
+
+def _report(workload: str, record: dict) -> None:
+    runs = record["runs"]
     shares = ", ".join(
-        f"{side} {failed[side]} of {sum(r['attempted'] for r in rs)}"
-        for side, rs in runs.items())
+        f"{side} {sum(r['failed'] for r in runs if r['side'] == side)} of "
+        f"{sum(r['attempted'] for r in runs if r['side'] == side)}"
+        for side in ("parent", "change"))
     print(f"{workload}: failed operations {shares}; parent median [q1, q3] "
           f"-> change median, pairs the change wins")
-    for metric in metrics:
-        name = metric["name"]
-        v = verdict([r["metrics"][name] for r in runs["parent"]],
-                    [r["metrics"][name] for r in runs["change"]],
-                    metric["better"], change_failed=failed["change"])
-        gap = (v.change_median / v.parent_median - 1) if v.parent_median else 0
-        print(f"  {name}: {v.parent_median:.6g} [{v.parent_q1:.6g}, "
-              f"{v.parent_q3:.6g}] -> {v.change_median:.6g} ({gap:+.1%}), "
-              f"wins {v.wins}/{v.pairs}, claim "
-              f"{'holds' if v.holds else 'does not hold'}", flush=True)
+    for name, v in record["metrics"].items():
+        p_med, c_med = v["parent_median"], v["change_median"]
+        gap = (c_med / p_med - 1) if p_med else 0
+        print(f"  {name}: {p_med:.6g} [{v['parent_q1']:.6g}, "
+              f"{v['parent_q3']:.6g}] -> {c_med:.6g} ({gap:+.1%}), "
+              f"wins {v['wins']}/{v['pairs']}, claim "
+              f"{'holds' if v['holds'] else 'does not hold'}", flush=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -166,14 +193,27 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
-        commit = _unpack(args.parent, Path(tmp))
-        print(f"parent {commit}, change: the working tree at {ROOT}; seeds "
-              f"{seeds.start}..{seeds.stop - 1}, --seconds {seconds}",
-              flush=True)
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        commits = {side: _unpack(ref, trees[side])
+                   for side, ref in (("parent", args.parent), ("change", "HEAD"))}
+        print(f"parent {args.parent} = {commits['parent']}, change HEAD = "
+              f"{commits['change']}; seeds {seeds.start}..{seeds.stop - 1}, "
+              f"--seconds {seconds}", flush=True)
+        record = {
+            "parent_ref": args.parent,
+            "parent_commit": commits["parent"],
+            "change_commit": commits["change"],
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "run_seconds": seconds,
+            "workloads": {},
+        }
         for workload in workloads:
             runs = _pairs(trees, workload, seeds, seconds)
-            _report(workload, runs, bench["end_to_end"])
+            record["workloads"][workload] = done = workload_record(
+                runs, bench["end_to_end"])
+            _report(workload, done)
+    print(json.dumps(record), flush=True)
     return 0
 
 
