@@ -13,7 +13,6 @@ import sys
 from collections.abc import Iterable
 
 from .errors import CertificateError, ResourceLimitError
-from .graphs import export_dot
 from .harness import audit_chunks, csv_chunk, summary, sweep_text
 
 
@@ -112,6 +111,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    from .graphs import export_dot  # the one command that runs zdg.graphs
+
     _emit(export_dot(args.n, args.color_classes), args.output)
     return 0
 

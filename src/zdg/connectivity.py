@@ -2,7 +2,7 @@
 
 This module reads no divisor-class structure and imports nothing from
 the rest of zdg, so it stays independent of the module argument the
-quotient engine (graphs.quotient_report) rests on; it is the oracle that
+quotient engine (quotient.quotient_report) rests on; it is the oracle that
 engine is tested against.  min_degree, edge_connectivity and
 vertex_connectivity take an explicit graph; the last two run flows with
 unit edge or vertex capacities, by shortest augmenting paths.  A flow

@@ -1,18 +1,20 @@
 """Sweep and audit machinery: computed connectivity vs closed-form predictions.
 
 A finding is one row of the audit table.  Each composite n is analysed in
-one pass over its unsorted divisor classes (graphs.quotient_report),
+one pass over its unsorted divisor classes (quotient.quotient_report),
 building no explicit graph and no residue witness.  Rows for n with no
 zero-divisor graph (n prime, n <= 3) or past the explicit-graph size guard
 carry a skip reason and no values.  The guard counts from the factorization
-(graphs.graph_size), so a refused n builds no class; an answered n checks
+(quotient.graph_size), so a refused n builds no class; an answered n checks
 the counts against the class sums.  Rendering is deterministic.
 
 Ranges run through chunks.chunked: consecutive chunks, each analysed and
 rendered by one worker, yielded in input order.  That module is imported
 only when a range runs, so importing this one (and the CLI) neither
 compiles it nor loads multiprocessing.  Likewise json is imported only when
-JSON is rendered; CSV, the default, never loads it.
+JSON is rendered; CSV, the default, never loads it.  The engine and the
+guard come from quotient, so no run loads the explicit graph's module,
+zdg.graphs.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import NamedTuple
 from .arith import factorize, format_factorization
 from .errors import CertificateError, ResourceLimitError
 from .formulas import predict
-from .graphs import divisor_classes, explicit_size, quotient_report
+from .quotient import divisor_classes, explicit_size, quotient_report
 
 
 class AuditFinding(NamedTuple):

@@ -91,62 +91,81 @@ def _as_assert(check: str, condition: str) -> str:
 
 
 MUTANTS = [
-    # graphs.py: the quotient engine's certificates and witness
+    # quotient.py: the engine's certificates, the class list and the size guard
     Mutant(
-        "complete-graph exemption restored", "graphs.py",
+        "complete-graph exemption restored", "quotient.py",
         "    if smallest < delta:\n",
         "    if delta != num_vertices - 1 and smallest < delta:\n",
         ("tests/test_connectivity.py::test_quotient_refuses_small_class",),
     ),
     Mutant(
-        "smallest-class check removed", "graphs.py",
+        "smallest-class check removed", "quotient.py",
         "    if smallest < delta:\n",
         "    if False:\n",
         ("tests/test_connectivity.py::test_quotient_refuses_small_class",),
     ),
     Mutant(
-        "smallest-class check as an assert", "graphs.py",
+        "smallest-class check as an assert", "quotient.py",
         _SMALL_CLASS_CHECK,
         "    small_class = min(d for d, size in present.items() if size == smallest)\n"
         + _as_assert(_SMALL_CLASS_CHECK, "smallest >= delta"),
         ("tests/test_connectivity.py::test_quotient_check_survives_optimize",),
     ),
     Mutant(
-        "connectedness check removed", "graphs.py",
+        "connectedness check removed", "quotient.py",
         "    if stranded < n:\n",
         "    if False:\n",
         ("tests/test_connectivity.py::test_quotient_refuses_disconnected_classes",),
     ),
     Mutant(
-        "first stranded class reported, not the smallest", "graphs.py",
+        "first stranded class reported, not the smallest", "quotient.py",
         "        if d < stranded and not (\n",
         "        if stranded == n and not (\n",
         ("tests/test_connectivity.py::test_quotient_refuses_disconnected_classes",),
     ),
     Mutant(
-        "hub taken from the first class", "graphs.py",
+        "hub taken from the first class", "quotient.py",
         "    hub = n // min(present)\n",
         "    hub = n // next(iter(present))\n",
         ("tests/test_connectivity.py::test_quotient_report_ignores_class_order",),
     ),
     Mutant(
-        "expanded vertex cut shifted by one", "graphs.py",
-        "    return tuple(members[: rep.delta]), tuple(sorted(edges))\n",
-        "    return tuple(members[1 : rep.delta + 1]), tuple(sorted(edges))\n",
-        ("tests/test_connectivity.py::test_quotient_report_witnesses",),
-    ),
-    Mutant(
-        "an assert in quotient_report", "graphs.py",
+        "an assert in quotient_report", "quotient.py",
         "    present = dict(classes)  # read once: walked twice, and looked up by d\n",
         "    present = dict(classes)  # read once: walked twice, and looked up by d\n"
         "    assert present, n\n",
         ("tests/test_cli.py::test_every_raise_is_one_line",),
     ),
     Mutant(
-        "exponent-1 powers in reverse order", "graphs.py",
+        "exponent-1 powers in reverse order", "quotient.py",
         "            powers = ((1, p - 1), (p, 1))\n",
         "            powers = ((p, 1), (1, p - 1))\n",
         ("tests/test_graphs.py::test_divisor_classes_unsorted",),
+    ),
+    Mutant(
+        "vertex limit written as >=", "quotient.py",
+        "    if num_vertices > MAX_EXPLICIT_VERTICES:\n",
+        "    if num_vertices >= MAX_EXPLICIT_VERTICES:\n",
+        ("tests/test_harness.py::test_guard_boundaries_on_analyze",),
+    ),
+    Mutant(
+        "vertex limit plus one", "quotient.py",
+        "    if num_vertices > MAX_EXPLICIT_VERTICES:\n",
+        "    if num_vertices > MAX_EXPLICIT_VERTICES + 1:\n",
+        ("tests/test_harness.py::test_guard_boundaries_on_analyze",),
+    ),
+    Mutant(
+        "vertex-only size guard", "quotient.py",
+        "    if num_edges > MAX_EXPLICIT_EDGES:\n",
+        "    if False:\n",
+        ("tests/test_harness.py::test_resource_limit_is_the_explicit_guard",),
+    ),
+    # graphs.py: the residue witness, the explicit builder and the DOT export
+    Mutant(
+        "expanded vertex cut shifted by one", "graphs.py",
+        "    return tuple(members[: rep.delta]), tuple(sorted(edges))\n",
+        "    return tuple(members[1 : rep.delta + 1]), tuple(sorted(edges))\n",
+        ("tests/test_connectivity.py::test_quotient_report_witnesses",),
     ),
     Mutant(
         "edge-end check as an assert", "graphs.py",
@@ -159,24 +178,6 @@ MUTANTS = [
         "    if ends != 2 * num_edges:\n",
         "    if ends != 2 * c.num_edges():\n",
         ("tests/test_graphs.py::test_edge_sum_check_survives_optimize",),
-    ),
-    Mutant(
-        "vertex limit written as >=", "graphs.py",
-        "    if num_vertices > MAX_EXPLICIT_VERTICES:\n",
-        "    if num_vertices >= MAX_EXPLICIT_VERTICES:\n",
-        ("tests/test_harness.py::test_guard_boundaries_on_analyze",),
-    ),
-    Mutant(
-        "vertex limit plus one", "graphs.py",
-        "    if num_vertices > MAX_EXPLICIT_VERTICES:\n",
-        "    if num_vertices > MAX_EXPLICIT_VERTICES + 1:\n",
-        ("tests/test_harness.py::test_guard_boundaries_on_analyze",),
-    ),
-    Mutant(
-        "vertex-only size guard", "graphs.py",
-        "    if num_edges > MAX_EXPLICIT_EDGES:\n",
-        "    if False:\n",
-        ("tests/test_harness.py::test_resource_limit_is_the_explicit_guard",),
     ),
     Mutant(
         "export-dot edge range one step late", "graphs.py",
@@ -292,7 +293,14 @@ MUTANTS = [
         '    "build_explicit",\n',
         ("tests/test_cli.py::test_root_exports_the_audit_pipeline_only",),
     ),
-    # cli.py: flags and exit codes
+    # cli.py: flags, exit codes and what start-up loads
+    Mutant(
+        "export_dot imported at the CLI's top", "cli.py",
+        "from .harness import audit_chunks, csv_chunk, summary, sweep_text\n",
+        "from .graphs import export_dot\n"
+        "from .harness import audit_chunks, csv_chunk, summary, sweep_text\n",
+        ("tests/test_cli.py::test_import_loads_no_pool_or_dataclasses",),
+    ),
     Mutant(
         "export-dot given --jobs", "cli.py",
         '    _add_options(p_dot, "output")\n',
@@ -506,9 +514,19 @@ MUTANTS = [
     ),
 ]
 
+# The vertex limit is checked first, and an n = p*m, p its least prime,
+# has at least m - 1 vertices, so m <= 200001; then m is prime, or
+# composite with least prime at least p, which needs p <= 447.  Over every
+# such n (p*q: (p-1)(q-1) edges; p^2: (p-1)(p-2)/2; the rest by graph_size)
+# none has exactly 50,000,000 or 50,000,001 edges.
+_EDGE_LIMIT_UNREACHED = (
+    "no n with at most 200,000 vertices has exactly 50,000,000 or "
+    "50,000,001 edges, so the edge limit's boundary is never met"
+)
+
 EQUIVALENT = [
     Equivalent(
-        "degree tie rule restored", "graphs.py",
+        "degree tie rule restored", "quotient.py",
         "        if degree < delta:\n",
         "        if degree < delta or degree == delta and d < root:\n",
         "two proper divisors d < e of n share a degree only if e = d + 1 and "
@@ -516,11 +534,23 @@ EQUIVALENT = [
         "which divides n",
     ),
     Equivalent(
-        "hub exempted from the connectedness test", "graphs.py",
+        "hub exempted from the connectedness test", "quotient.py",
         "        if d < stranded and not (\n",
         "        if d < stranded and d != hub and not (\n",
         "if d is the hub, n // d = min(present) is present and "
         "(n // d) * hub = n, so the test passes for it anyway",
+    ),
+    Equivalent(
+        "edge limit written as >=", "quotient.py",
+        "    if num_edges > MAX_EXPLICIT_EDGES:\n",
+        "    if num_edges >= MAX_EXPLICIT_EDGES:\n",
+        _EDGE_LIMIT_UNREACHED,
+    ),
+    Equivalent(
+        "edge limit plus one", "quotient.py",
+        "    if num_edges > MAX_EXPLICIT_EDGES:\n",
+        "    if num_edges > MAX_EXPLICIT_EDGES + 1:\n",
+        _EDGE_LIMIT_UNREACHED,
     ),
     Equivalent(
         "psi_7 row dropped", "arith.py",

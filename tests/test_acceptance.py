@@ -19,10 +19,10 @@ from zdg.graphs import (
     build_compressed,
     build_explicit,
     degree_profile,
-    quotient_report,
     residue_witnesses,
 )
 from zdg.harness import analyze, audit, sweep
+from zdg.quotient import quotient_report
 
 from brute import _brute_kappa, _brute_kappa_e
 

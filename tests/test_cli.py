@@ -23,8 +23,9 @@ from zdg import graphs, harness
 from zdg.arith import factorize
 from zdg.cli import main
 from zdg.errors import CertificateError, ResourceLimitError
-from zdg.graphs import build_compressed, build_explicit, export_dot, quotient_report
+from zdg.graphs import build_compressed, build_explicit, export_dot
 from zdg.harness import CSV_HEADER, analyze, render_csv, sweep
+from zdg.quotient import quotient_report
 
 
 def test_analyze_csv(capsys):
@@ -564,8 +565,8 @@ def test_console_script(child_env):
 
 def test_import_loads_no_pool_or_dataclasses(child_env):
     # every command pays for what importing the CLI loads; only sweep and
-    # audit with --jobs > 1 need the process pool, and only JSON output needs
-    # json
+    # audit with --jobs > 1 need the process pool, only JSON output needs
+    # json, and only export-dot needs the explicit graph's module
     script = (
         "import sys; before = set(sys.modules); import zdg.cli; "
         "print(repr(sorted(set(sys.modules) - before)))"
@@ -581,7 +582,7 @@ def test_import_loads_no_pool_or_dataclasses(child_env):
     assert "zdg.cli" in added
     heavy = (
         "multiprocessing", "concurrent.futures", "dataclasses", "zdg.connectivity",
-        "json", "_json",
+        "json", "_json", "zdg.graphs",
     )
     assert [m for m in added if m.startswith(heavy)] == []
 
@@ -590,9 +591,8 @@ def test_root_exports_the_audit_pipeline_only():
     # the oracle side keeps one import path, the module that defines it,
     # which is where perfbench/ and the tests read it
     assert sorted(zdg.__all__) == [
-        "AuditFinding", "AuditResult", "CompressedZdg", "Factorization",
-        "NoZeroDivisorsError", "ResourceLimitError", "analyze", "audit",
-        "build_compressed", "class_members", "export_dot", "factorize",
+        "AuditFinding", "AuditResult", "Factorization", "NoZeroDivisorsError",
+        "ResourceLimitError", "analyze", "audit", "factorize",
         "format_factorization", "predict", "quotient_report", "render", "sweep",
     ]
     for name in zdg.__all__:
@@ -600,6 +600,7 @@ def test_root_exports_the_audit_pipeline_only():
     oracle = {
         "zdg.graphs": (
             "ZeroDivisorGraph", "build_explicit", "DegreeProfile", "degree_profile",
+            "CompressedZdg", "build_compressed", "class_members", "export_dot",
         ),
         "zdg.formulas": (
             "Prediction", "predict_min_degree", "predict_edge_connectivity",
@@ -616,14 +617,15 @@ def test_root_exports_the_audit_pipeline_only():
 
 def test_serial_sweep_loads_no_multiprocessing(child_env):
     # with one worker the runner starts no child, so nothing imports the
-    # pool; and no command of the pipeline loads the flow oracle
+    # pool; and no command of the pipeline loads the flow oracle or the
+    # explicit graph's module
     script = (
         "import os, sys; from zdg import cli; "
         "code = cli.main(['sweep', '--from', '4', '--to', '100']); "
         "quiet = ['--output', os.devnull]; "
         "codes = [code, cli.main(['audit', '--from', '4', '--to', '100', *quiet]), "
         "cli.main(['analyze', '--n', '105', *quiet])]; "
-        "heavy = ('multiprocessing', 'zdg.connectivity'); "
+        "heavy = ('multiprocessing', 'zdg.connectivity', 'zdg.graphs'); "
         "loaded = sorted(m for m in sys.modules if m.startswith(heavy)); "
         "print(codes, loaded, file=sys.stderr)"
     )
@@ -636,6 +638,26 @@ def test_serial_sweep_loads_no_multiprocessing(child_env):
     assert proc.stderr == "[0, 0, 0] []\n"
     assert proc.stdout.startswith("n,factorization,")
     assert len(proc.stdout.splitlines()) == 98  # header and n = 4..100
+
+
+def test_export_dot_imports_its_module_when_run(child_env):
+    # export-dot's import of zdg.graphs moved into the command; a fresh
+    # CLI must still find it there and write the whole graph
+    script = (
+        "import sys; from zdg import cli; "
+        "code = cli.main(['export-dot', '--n', '27']); "
+        "print(code, 'zdg.graphs' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.stderr == "0 True\n"
+    assert proc.stdout == "".join(export_dot(27))
+    assert proc.stdout.startswith("graph zdg_27 {\n")
+    assert proc.stdout.endswith("}\n")
 
 
 def test_results_survive_pickle():

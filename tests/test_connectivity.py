@@ -29,14 +29,8 @@ from zdg.formulas import (
     predict_min_degree,
     predict_vertex_connectivity,
 )
-from zdg.graphs import (
-    build_compressed,
-    build_explicit,
-    divisor_classes,
-    explicit_size,
-    quotient_report,
-    residue_witnesses,
-)
+from zdg.graphs import build_compressed, build_explicit, residue_witnesses
+from zdg.quotient import divisor_classes, explicit_size, quotient_report
 
 from brute import _alive_connected, _brute_kappa, _brute_kappa_e
 
@@ -290,7 +284,8 @@ def test_quotient_check_survives_optimize(run_optimized):
         "import sys\n"
         "import random\n"
         "from zdg.errors import CertificateError\n"
-        "from zdg.graphs import build_compressed, quotient_report\n"
+        "from zdg.graphs import build_compressed\n"
+        "from zdg.quotient import quotient_report\n"
         "c = build_compressed(105)\n"
         "sizes = [(d, 1 if d == 21 else k) for d, k in c.classes]\n"
         "random.Random(0).shuffle(sizes)\n"

@@ -18,9 +18,8 @@ from zdg.formulas import (
     predict_min_degree,
     predict_vertex_connectivity,
 )
-from zdg.graphs import (
-    build_explicit, divisor_classes, quotient_report, residue_witnesses,
-)
+from zdg.graphs import build_explicit, residue_witnesses
+from zdg.quotient import divisor_classes, quotient_report
 
 from test_arith import HARD_INPUTS
 

@@ -16,11 +16,9 @@ from zdg.graphs import (
     class_members,
     compress,
     degree_profile,
-    divisor_classes,
     export_dot,
-    graph_size,
-    quotient_report,
 )
+from zdg.quotient import divisor_classes, graph_size, quotient_report
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -102,9 +100,9 @@ def test_edge_sum_check_survives_optimize(run_optimized):
     # a wrong edge count must be caught even where asserts are stripped
     proc = run_optimized(
         "import sys\n"
-        "from zdg import graphs\n"
+        "from zdg import graphs, quotient\n"
         "from zdg.errors import CertificateError\n"
-        "graphs.graph_size = lambda f: (3, 5)\n"
+        "quotient.graph_size = lambda f: (3, 5)\n"
         "try:\n"
         "    graphs.build_explicit(8)\n"
         "except CertificateError as err:\n"

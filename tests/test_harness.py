@@ -12,6 +12,7 @@ import pytest
 import zdg.connectivity as connectivity
 import zdg.graphs as graphs
 import zdg.harness as harness
+import zdg.quotient as quotient
 from zdg.arith import factorize
 from zdg.chunks import chunked
 from zdg.errors import CertificateError, ResourceLimitError
@@ -112,8 +113,8 @@ def test_resource_limit_is_the_explicit_guard(n, vertices, edges):
     c = graphs.build_compressed(n)
     assert (c.num_vertices(), c.num_edges()) == (vertices, edges)
     refused = (
-        vertices > graphs.MAX_EXPLICIT_VERTICES
-        or edges > graphs.MAX_EXPLICIT_EDGES
+        vertices > quotient.MAX_EXPLICIT_VERTICES
+        or edges > quotient.MAX_EXPLICIT_EDGES
     )
     try:
         graphs.build_explicit(n)
@@ -138,7 +139,7 @@ def test_resource_limit_is_the_explicit_guard(n, vertices, edges):
 )
 def test_guard_boundaries_on_analyze(n, vertices, edges, refused):
     # no explicit graph is built: analyze decides on the closed-form counts
-    assert graphs.graph_size(factorize(n)) == (vertices, edges)
+    assert quotient.graph_size(factorize(n)) == (vertices, edges)
     row = analyze(n)
     assert (row.skip_reason == "ResourceLimit") == refused
     if not refused:
@@ -181,10 +182,10 @@ def test_size_cross_check_survives_optimize(run_optimized):
     # stripped, since the class sums disagree with it
     proc = run_optimized(
         "import sys\n"
-        "from zdg import graphs, harness\n"
+        "from zdg import harness, quotient\n"
         "from zdg.errors import CertificateError\n"
-        "size = graphs.graph_size\n"
-        "graphs.graph_size = lambda f: (size(f)[0], size(f)[1] + 1)\n"
+        "size = quotient.graph_size\n"
+        "quotient.graph_size = lambda f: (size(f)[0], size(f)[1] + 1)\n"
         "try:\n"
         "    harness.analyze(12)\n"
         "except CertificateError as err:\n"
@@ -227,10 +228,10 @@ def test_certificate_checks_raise_certificate_error(monkeypatch):
     stranded = [(d, size) for d, size in classes if d != 35]
     for planted in (small, stranded):
         with pytest.raises(CertificateError, match="is not certified$"):
-            graphs.quotient_report(105, planted)
+            quotient.quotient_report(105, planted)
     with monkeypatch.context() as m:
-        size = graphs.graph_size
-        m.setattr(graphs, "graph_size", lambda f: (size(f)[0], size(f)[1] + 1))
+        size = quotient.graph_size
+        m.setattr(quotient, "graph_size", lambda f: (size(f)[0], size(f)[1] + 1))
         with pytest.raises(CertificateError, match="^n=12: closed form"):
             analyze(12)
     report = harness.quotient_report
@@ -272,7 +273,6 @@ def test_analyze_factorizes_once(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(harness, "factorize", counting)
-    monkeypatch.setattr(graphs, "factorize", counting)
     for n in (12, 25, 10**6, 963761198400):
         calls.clear()
         analyze(n)
